@@ -25,7 +25,6 @@ from .chain import (
     Ledger,
     VerificationReport,
     append_batch,
-    apply_batch,
     compute_hash,
     materialize,
     reconstruct,
@@ -53,7 +52,7 @@ from .errors import (
     StoreInconsistentError,
     StoreMismatchError,
 )
-from .storage import LedgerFile, create_ledger_file, load_ledger, read_ledger_header
+from .storage import LedgerFile, load_ledger, read_ledger_header
 from .store import ChainTableStore
 from .table import (
     ActualView,
@@ -101,11 +100,9 @@ __all__ = [
     "ViewEntry",
     "actual_view",
     "append_batch",
-    "apply_batch",
     "assess_detection",
     "canonical_encode_update",
     "compute_hash",
-    "create_ledger_file",
     "decode_update",
     "import_history",
     "load_ledger",

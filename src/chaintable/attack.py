@@ -23,8 +23,8 @@ from .chain import (
     verify_chain,
 )
 from .encoding import Hash, UpdateBatch, UpdateRecord
-from .errors import LidOutOfRangeError
-from .storage import parse_record_line, render_record
+from .errors import LidOutOfRangeError, StorageViolation
+from .storage import ledger_header_line, load_ledger, render_record
 from .table import DataTable
 
 
@@ -45,28 +45,21 @@ class AttackOutcome:
     records_requiring_rewrite: int
 
 
-def _read_ledger_lines(path: Path) -> tuple[str, list[str]]:
-    raw = path.read_bytes()
-    lines = raw.decode("utf-8").split("\n")
-    if lines[-1] != "":
-        raise ValueError(f"{path} has a partial final line; repair it first")
-    lines.pop()
-    return lines[0], lines[1:]
+def _read_ledger(path: Path) -> Ledger:
+    """Parse strictly, so re-rendering a record gives back its exact bytes."""
+    try:
+        return load_ledger(path)
+    except StorageViolation as exc:
+        raise ValueError(f"{path} is not a well-formed ledger ({exc}); repair it first") from exc
 
 
-def _write_ledger_lines(path: Path, header: str, record_lines: list[str]) -> None:
-    payload = "".join(line + "\n" for line in [header, *record_lines]).encode("utf-8")
+def _write_ledger(path: Path, ledger: Ledger) -> None:
+    lines = [ledger_header_line(ledger.name), *map(render_record, ledger.records)]
+    payload = "".join(line + "\n" for line in lines).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(payload)
         fh.flush()
         os.fsync(fh.fileno())
-
-
-def _parse_records(record_lines: list[str]) -> list[ChainRecord]:
-    return [
-        parse_record_line(line, lineno)
-        for lineno, line in enumerate(record_lines, start=2)
-    ]
 
 
 def _replace_description(
@@ -94,19 +87,18 @@ def tamper_update_in_place(
     nothing is appended, so chain verification fails at that lid.
     """
     path = Path(path)
-    header, record_lines = _read_ledger_lines(path)
-    records = _parse_records(record_lines)
+    ledger = _read_ledger(path)
+    records = ledger.records
     if not 1 <= lid <= len(records):
         raise LidOutOfRangeError(f"lid {lid} out of range for {len(records)} records")
     target = records[lid - 1]
-    mutated = ChainRecord(
+    records[lid - 1] = ChainRecord(
         lid=target.lid,
         hash=target.hash,
         prev_hash=target.prev_hash,
         update=_replace_description(target.update, record_index, new_description),
     )
-    record_lines[lid - 1] = render_record(mutated)
-    _write_ledger_lines(path, header, record_lines)
+    _write_ledger(path, ledger)
 
 
 def tamper_with_rehash(
@@ -125,8 +117,8 @@ def tamper_with_rehash(
     catches the lie.
     """
     path = Path(path)
-    header, record_lines = _read_ledger_lines(path)
-    records = _parse_records(record_lines)
+    ledger = _read_ledger(path)
+    records = ledger.records
     n = len(records)
     if not (1 <= lid <= rewrite_through <= n):
         raise LidOutOfRangeError(
@@ -142,10 +134,10 @@ def tamper_with_rehash(
         if position > lid:
             prevs[i] = hashes[i - 1]
         hashes[i] = compute_hash(position, updates[i], prevs[i])
-        record_lines[i] = render_record(
-            ChainRecord(lid=position, hash=hashes[i], prev_hash=prevs[i], update=updates[i])
+        records[i] = ChainRecord(
+            lid=position, hash=hashes[i], prev_hash=prevs[i], update=updates[i]
         )
-    _write_ledger_lines(path, header, record_lines)
+    _write_ledger(path, ledger)
 
 
 def measure_rewrite_cascade(ledger: Ledger, k: int) -> int:

@@ -18,9 +18,9 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 
-from .encoding import Hash, UpdateBatch, UpdateRecord, canonical_encode_update
-from .errors import DuplicateKeyError, InvalidLedgerError, MalformedBatchError
-from .table import ActualView, DataRow, DataTable, ViewEntry
+from .encoding import Hash, UpdateBatch, canonical_encode_update
+from .errors import InvalidLedgerError, MalformedBatchError
+from .table import ActualView, DataRow, DataTable, replay_rows
 
 HASH_ALGORITHM = "double-sha256-v1"
 
@@ -53,11 +53,14 @@ class Ledger:
     """Ordered chain records with contiguous lids 1..n.
 
     Records are immutable; only the container grows, and only via
-    append_batch. Construction does not re-verify so that tampered ledgers
-    remain representable; verify_chain is the integrity check.
+    append_batch or LedgerFile.append. Construction does not re-verify so
+    that tampered ledgers remain representable; verify_chain is the
+    integrity check. name is the table name from the file header of a
+    ledger read from disk, None for a ledger built in memory.
     """
 
     records: list[ChainRecord] = field(default_factory=list)
+    name: str | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -67,7 +70,7 @@ class Ledger:
         return self.records[-1].hash if self.records else None
 
     def copy(self) -> "Ledger":
-        return Ledger(list(self.records))
+        return Ledger(list(self.records), self.name)
 
 
 @dataclass(frozen=True)
@@ -174,20 +177,9 @@ def materialize(ledger: Ledger) -> ActualView:
     """Replay a valid ledger into the current per-opid state.
 
     The last-replayed record per opid wins (lid order, then within-batch
-    order); a null description stays visible as a tombstone. Implemented as a
-    direct replay over the chain records, independent of reconstruct and
-    actual_view, so the two routes can be checked against each other.
+    order); a null description stays visible as a tombstone.
     """
-    _require_valid(ledger)
-    latest: dict[int, UpdateRecord] = {}
-    for record in ledger.records:
-        for update in record.update:
-            latest[update.opid] = update
-    entries = tuple(
-        ViewEntry(opid, latest[opid].timestamp, latest[opid].description)
-        for opid in sorted(latest)
-    )
-    return ActualView(entries)
+    return replay_rows(reconstruct(ledger).rows)
 
 
 def verify_against_table(ledger: Ledger, table: DataTable) -> ConsistencyReport:
@@ -209,24 +201,3 @@ def verify_against_table(ledger: Ledger, table: DataTable) -> ConsistencyReport:
             )
     return ConsistencyReport(consistent=not divergences, divergences=tuple(divergences))
 
-
-def apply_batch(
-    table: DataTable, ledger: Ledger, batch: UpdateBatch
-) -> tuple[DataTable, ChainRecord]:
-    """Write one batch to the table and its ledger in lockstep.
-
-    All validation happens before either side changes, so an error leaves
-    both untouched: the batch must be well formed, none of its (opid,
-    timestamp) keys may already exist in the table, and the ledger must
-    verify. Returns the grown table and the new chain record.
-    """
-    if not isinstance(batch, UpdateBatch):
-        raise MalformedBatchError(f"not an update batch: {batch!r}")
-    existing = table.keys()
-    clashes = [record.key for record in batch if record.key in existing]
-    if clashes:
-        raise DuplicateKeyError(f"(opid, timestamp) already present in table: {clashes}")
-    _require_valid(ledger)
-    record = append_batch(ledger, batch)
-    grown = DataTable(name=table.name, rows=table.rows + batch.records)
-    return grown, record

@@ -39,7 +39,7 @@ from .errors import (
     StoreInconsistentError,
     StoreMismatchError,
 )
-from .storage import load_ledger, read_ledger_header
+from .storage import load_ledger
 from .store import ChainTableStore
 from .table import DataTable, read_data_file, write_data_file
 
@@ -143,11 +143,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_INTEGRITY
 
     if args.table is not None:
-        ledger_name = read_ledger_header(args.ledger)
         table_name, rows = read_data_file(args.table)
-        if table_name != ledger_name:
+        if table_name != ledger.name:
             raise StoreMismatchError(
-                f"ledger is for table '{ledger_name}' but data file is '{table_name}'"
+                f"ledger is for table '{ledger.name}' but data file is '{table_name}'"
             )
         consistency = verify_against_table(ledger, DataTable(table_name, tuple(rows)))
         payload["table"] = {
@@ -169,34 +168,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     ledger = load_ledger(args.ledger)
-    report = verify_chain(ledger)
-    if not report.valid:
-        _fail(
-            f"ledger fails verification (first invalid lid: {report.first_invalid_lid}); "
-            "refusing to reconstruct"
-        )
-        return EXIT_INTEGRITY
-    name = read_ledger_header(args.ledger)
     table = reconstruct(ledger)
-    write_data_file(args.out, name, table.rows)
+    write_data_file(args.out, ledger.name, table.rows)
     _emit(
         args,
-        {"rows": len(table), "out": str(args.out), "name": name},
+        {"rows": len(table), "out": str(args.out), "name": ledger.name},
         [f"reconstructed {len(table)} rows into {args.out}"],
     )
     return EXIT_OK
 
 
 def cmd_materialize(args: argparse.Namespace) -> int:
-    ledger = load_ledger(args.ledger)
-    report = verify_chain(ledger)
-    if not report.valid:
-        _fail(
-            f"ledger fails verification (first invalid lid: {report.first_invalid_lid}); "
-            "refusing to materialize"
-        )
-        return EXIT_INTEGRITY
-    view = materialize(ledger)
+    view = materialize(load_ledger(args.ledger))
     entries = [
         {
             "opid": e.opid,
@@ -286,18 +269,17 @@ def cmd_tamper(args: argparse.Namespace) -> int:
 
 
 def cmd_status(args: argparse.Namespace) -> int:
-    name = read_ledger_header(args.ledger)
     ledger = load_ledger(args.ledger)
     tip = ledger.tip_hash
     _emit(
         args,
         {
-            "name": name,
+            "name": ledger.name,
             "records": len(ledger),
             "tip": None if tip is None else tip.hex,
         },
         [
-            f"table name: {name}",
+            f"table name: {ledger.name}",
             f"records: {len(ledger)}",
             f"tip hash: {'-' if tip is None else tip.hex}",
         ],

@@ -153,17 +153,24 @@ def decode_record(text: str) -> UpdateRecord:
     return _record_from_obj(obj)
 
 
-def decode_update(text: str | bytes) -> UpdateBatch:
-    """Parse a canonical update encoding back into a batch."""
+def _json_value(text: str | bytes) -> Any:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedBatchError(f"invalid update JSON: {exc}") from exc
+
+
+def _batch_from_value(data: Any) -> UpdateBatch:
     if not isinstance(data, list):
         raise MalformedBatchError("update encoding must be a JSON array of records")
     return UpdateBatch(_record_from_obj(obj) for obj in data)
+
+
+def decode_update(text: str | bytes) -> UpdateBatch:
+    """Parse a canonical update encoding back into a batch."""
+    return _batch_from_value(_json_value(text))
 
 
 def parse_batch_input(text: str | bytes) -> UpdateBatch:
@@ -173,17 +180,20 @@ def parse_batch_input(text: str | bytes) -> UpdateBatch:
     submit several chain records at once, is rejected as MULTI_RECORD_WRITE
     rather than as a malformed record.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedBatchError(f"invalid batch JSON: {exc}") from exc
+    data = _json_value(text)
     if isinstance(data, list) and any(isinstance(item, list) for item in data):
         raise StorageViolation(
             StorageViolationKind.MULTI_RECORD_WRITE,
             "input contains multiple record arrays; only one chain record may be written at a time",
         )
-    if not isinstance(data, list):
-        raise MalformedBatchError("batch input must be a JSON array of records")
-    return UpdateBatch(_record_from_obj(obj) for obj in data)
+    return _batch_from_value(data)
+
+
+def decode_line(data: bytes, lineno: int) -> str:
+    """Decode one stored file line; undecodable bytes are a corrupt record."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StorageViolation(
+            StorageViolationKind.CORRUPT_RECORD, f"undecodable bytes: {exc}", line=lineno
+        ) from exc

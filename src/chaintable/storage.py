@@ -25,13 +25,14 @@ from pathlib import Path
 from typing import BinaryIO
 
 from .chain import HASH_ALGORITHM, ChainRecord, Ledger
-from .encoding import Hash, canonical_encode_update, decode_update
+from .encoding import Hash, canonical_encode_update, decode_line, decode_update
 from .errors import (
     LockError,
     MalformedBatchError,
     StorageViolation,
     StorageViolationKind,
 )
+from .table import check_table_name
 
 LEDGER_MAGIC = "CHAINTABLE-LEDGER"
 LEDGER_VERSION = "v1"
@@ -42,11 +43,6 @@ _LID_RE = re.compile(r"^[1-9][0-9]*$")
 
 def ledger_header_line(name: str) -> str:
     return f"{LEDGER_MAGIC} {LEDGER_VERSION} {name} {HASH_ALGORITHM}"
-
-
-def check_table_name(name: str) -> None:
-    if not name or any(ord(ch) < 0x20 or ord(ch) == 0x7F for ch in name):
-        raise ValueError(f"table name must be non-empty printable text: {name!r}")
 
 
 def parse_ledger_header(line: str) -> str:
@@ -101,16 +97,7 @@ def _split_lines(raw: bytes) -> tuple[list[bytes], bytes]:
     return pieces[:-1], pieces[-1]
 
 
-def _decode_line(data: bytes, lineno: int) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise StorageViolation(
-            StorageViolationKind.CORRUPT_RECORD, f"undecodable bytes: {exc}", line=lineno
-        ) from exc
-
-
-def _parse_file(raw: bytes, repair: bool) -> tuple[str, list[ChainRecord]]:
+def _parse_file(raw: bytes, repair: bool) -> Ledger:
     lines, tail = _split_lines(raw)
     if not lines:
         # Nothing is newline-terminated yet: the header itself is partial.
@@ -119,9 +106,9 @@ def _parse_file(raw: bytes, repair: bool) -> tuple[str, list[ChainRecord]]:
             "empty file or incomplete header line",
             line=1,
         )
-    name = parse_ledger_header(_decode_line(lines[0], 1))
+    name = parse_ledger_header(decode_line(lines[0], 1))
     records = [
-        parse_record_line(_decode_line(data, lineno), lineno)
+        parse_record_line(decode_line(data, lineno), lineno)
         for lineno, data in enumerate(lines[1:], start=2)
     ]
     if tail and not repair:
@@ -130,19 +117,18 @@ def _parse_file(raw: bytes, repair: bool) -> tuple[str, list[ChainRecord]]:
             f"final line is a partial write ({len(tail)} bytes, no terminator)",
             line=len(lines) + 1,
         )
-    return name, records
+    return Ledger(records, name)
 
 
 def load_ledger(path: str | os.PathLike[str], repair: bool = False) -> Ledger:
-    """Load every stored record into a Ledger (one snapshot read).
+    """Load every stored record and the header's table name (one snapshot read).
 
     A chain-invalid ledger is still returned: detecting tampering is
     verify_chain's job, and tampered files must stay loadable. Malformed
     lines raise CORRUPT_RECORD with their line number; with repair=True a
     final unterminated (partially written) line is dropped instead.
     """
-    _, records = _parse_file(Path(path).read_bytes(), repair)
-    return Ledger(records)
+    return _parse_file(Path(path).read_bytes(), repair)
 
 
 def read_ledger_header(path: str | os.PathLike[str]) -> str:
@@ -155,7 +141,7 @@ def read_ledger_header(path: str | os.PathLike[str]) -> str:
             "empty file or incomplete header line",
             line=1,
         )
-    return parse_ledger_header(_decode_line(first[:-1], 1))
+    return parse_ledger_header(decode_line(first[:-1], 1))
 
 
 @dataclass
@@ -164,15 +150,26 @@ class LedgerFile:
 
     Holds the advisory writer lock for its lifetime; use as a context
     manager or call close(). Readers never need a handle; load_ledger reads
-    a snapshot without locking.
+    a snapshot without locking. ledger holds every record in the file:
+    parsed once by open, then extended by each append.
     """
 
     path: Path
-    name: str
-    record_count: int
-    tip_hash: Hash | None
+    ledger: Ledger
     _fh: BinaryIO
     _size: int
+
+    @property
+    def name(self) -> str:
+        return self.ledger.name  # type: ignore[return-value]
+
+    @property
+    def record_count(self) -> int:
+        return len(self.ledger)
+
+    @property
+    def tip_hash(self) -> Hash | None:
+        return self.ledger.tip_hash
 
     @classmethod
     def create(cls, path: str | os.PathLike[str], table_name: str) -> "LedgerFile":
@@ -205,7 +202,7 @@ class LedgerFile:
                     raise LockError(f"another writer holds the lock on {path}") from exc
                 raise
             raw = path.read_bytes()
-            name, records = _parse_file(raw, repair)
+            ledger = _parse_file(raw, repair)
             size = len(raw)
             _, tail = _split_lines(raw)
             if tail:
@@ -214,14 +211,7 @@ class LedgerFile:
         except Exception:
             fh.close()
             raise
-        return cls(
-            path=path,
-            name=name,
-            record_count=len(records),
-            tip_hash=records[-1].hash if records else None,
-            _fh=fh,
-            _size=size,
-        )
+        return cls(path=path, ledger=ledger, _fh=fh, _size=size)
 
     def append(self, record: ChainRecord) -> None:
         """Append exactly one record at end-of-file, durable before return.
@@ -268,11 +258,7 @@ class LedgerFile:
                 pass
             raise
         self._size += len(payload)
-        self.record_count += 1
-        self.tip_hash = record.hash
-
-    def load(self) -> Ledger:
-        return load_ledger(self.path)
+        self.ledger.records.append(record)
 
     def close(self) -> None:
         if not self._fh.closed:
@@ -285,24 +271,12 @@ class LedgerFile:
         self.close()
 
 
-def create_ledger_file(path: str | os.PathLike[str], table_name: str) -> LedgerFile:
-    """Module-level spelling of LedgerFile.create."""
-    return LedgerFile.create(path, table_name)
-
-
-def append_record(ledger_file: LedgerFile, record: ChainRecord) -> LedgerFile:
-    """Module-level spelling of LedgerFile.append; returns the handle."""
-    ledger_file.append(record)
-    return ledger_file
-
 
 __all__ = [
     "ABSENT_PREV",
     "LEDGER_MAGIC",
     "LEDGER_VERSION",
     "LedgerFile",
-    "append_record",
-    "create_ledger_file",
     "ledger_header_line",
     "load_ledger",
     "parse_ledger_header",

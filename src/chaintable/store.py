@@ -12,11 +12,10 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .chain import ChainRecord, Ledger, append_batch, reconstruct, verify_chain
+from .chain import ChainRecord, Ledger, append_batch, reconstruct
 from .encoding import UpdateBatch
 from .errors import (
     DuplicateKeyError,
-    InvalidLedgerError,
     StorageFailureError,
     StoreInconsistentError,
     StoreMismatchError,
@@ -64,7 +63,7 @@ class ChainTableStore:
             ledger_file.close()
             ledger_path.unlink(missing_ok=True)
             raise
-        return cls(ledger_file, Ledger(), DataTable(name=name), table_path)
+        return cls(ledger_file, ledger_file.ledger.copy(), DataTable(name=name), table_path)
 
     @classmethod
     def open(
@@ -75,6 +74,9 @@ class ChainTableStore:
     ) -> "ChainTableStore":
         """Open for writing: verify the chain, then reconcile the data file.
 
+        The ledger is read and parsed once, by LedgerFile.open, and verified
+        once, by reconstruct; an invalid chain raises InvalidLedgerError.
+
         A data file that is a proper prefix of the ledger history (the mark
         of an interrupted coupled write) is completed by appending the
         missing rows. Anything else that diverges refuses to open; run the
@@ -83,17 +85,15 @@ class ChainTableStore:
         table_path = Path(table_path)
         ledger_file = LedgerFile.open(ledger_path, repair=repair)
         try:
-            ledger = ledger_file.load()
-            report = verify_chain(ledger)
-            if not report.valid:
-                raise InvalidLedgerError(report)
+            # A working copy: append_batch grows it before the file commits.
+            ledger = ledger_file.ledger.copy()
+            history = reconstruct(ledger).rows
             table_name, rows = read_data_file(table_path)
             if table_name != ledger_file.name:
                 raise StoreMismatchError(
                     f"data file is for table {table_name!r} but ledger is for "
                     f"{ledger_file.name!r}"
                 )
-            history = reconstruct(ledger).rows
             if tuple(rows) != history[: len(rows)] or len(rows) > len(history):
                 raise StoreInconsistentError(
                     "data file content is not a prefix of the ledger history; "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .encoding import UpdateRecord, decode_record, encode_record
+from .encoding import UpdateRecord, decode_line, decode_record, encode_record
 from .errors import (
     DuplicateKeyError,
     MalformedBatchError,
@@ -34,8 +34,8 @@ class DataTable:
     """Ordered append-only row history of one protected table.
 
     The container itself does not police key uniqueness; the write paths
-    (apply_batch, import_history) do, so that a tampered or reconstructed
-    history remains representable for comparison.
+    (ChainTableStore.append, import_history) do, so that a tampered or
+    reconstructed history remains representable for comparison.
     """
 
     name: str
@@ -118,7 +118,8 @@ def _data_header_line(name: str) -> str:
     return f"{DATA_MAGIC} {DATA_VERSION} {name}"
 
 
-def _check_table_name(name: str) -> None:
+def check_table_name(name: str) -> None:
+    """Table names go into both file headers: non-empty, no control characters."""
     if not name or any(ord(ch) < 0x20 or ord(ch) == 0x7F for ch in name):
         raise ValueError(f"table name must be non-empty printable text: {name!r}")
 
@@ -136,7 +137,7 @@ def parse_data_header(line: str) -> str:
 
 def create_data_file(path: str | os.PathLike[str], name: str) -> None:
     """Create an empty data file with its header; refuses to overwrite."""
-    _check_table_name(name)
+    check_table_name(name)
     path = Path(path)
     with open(path, "x", encoding="utf-8") as fh:
         fh.write(_data_header_line(name) + "\n")
@@ -165,13 +166,13 @@ def read_data_file(path: str | os.PathLike[str]) -> tuple[str, list[DataRow]]:
         raise StorageViolation(
             StorageViolationKind.CORRUPT_RECORD, "missing or incomplete header line", line=1
         )
-    lines = raw.decode("utf-8").split("\n")
-    trailing = lines.pop()  # text after the final newline; must be empty
-    name = parse_data_header(lines[0])
+    lines = raw.split(b"\n")
+    trailing = lines.pop()  # bytes after the final newline; must be empty
+    name = parse_data_header(decode_line(lines[0], 1))
     rows: list[DataRow] = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            rows.append(decode_record(line))
+            rows.append(decode_record(decode_line(line, lineno)))
         except MalformedBatchError as exc:
             raise StorageViolation(
                 StorageViolationKind.CORRUPT_RECORD, str(exc), line=lineno
@@ -187,7 +188,7 @@ def read_data_file(path: str | os.PathLike[str]) -> tuple[str, list[DataRow]]:
 
 def write_data_file(path: str | os.PathLike[str], name: str, rows: Iterable[DataRow]) -> None:
     """Write a whole data file atomically (temp file + rename)."""
-    _check_table_name(name)
+    check_table_name(name)
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="") as fh:

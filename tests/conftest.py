@@ -12,10 +12,12 @@ from random import Random
 import pytest
 
 from chaintable import (
+    ActualView,
     ChainTableStore,
     Ledger,
     UpdateBatch,
     UpdateRecord,
+    ViewEntry,
     append_batch,
 )
 from chaintable.cli import main as cli_main
@@ -60,6 +62,23 @@ def build_worked_ledger() -> Ledger:
     for batch in WORKED_BATCHES:
         append_batch(ledger, batch)
     return ledger
+
+
+def replay_ledger(ledger: Ledger) -> ActualView:
+    """Oracle for materialize: replay the chain records directly, without
+    reconstruct or replay_rows, so the two routes can be checked against each
+    other. The last-replayed record per opid wins (lid order, then
+    within-batch order)."""
+    latest: dict[int, UpdateRecord] = {}
+    for record in ledger.records:
+        for update in record.update:
+            latest[update.opid] = update
+    return ActualView(
+        tuple(
+            ViewEntry(opid, latest[opid].timestamp, latest[opid].description)
+            for opid in sorted(latest)
+        )
+    )
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from chaintable import (
     ChainRecord,
     DataTable,
-    DuplicateKeyError,
     FailureKind,
     Hash,
     InvalidLedgerError,
@@ -17,7 +16,6 @@ from chaintable import (
     UpdateBatch,
     UpdateRecord,
     append_batch,
-    apply_batch,
     materialize,
     reconstruct,
     verify_against_table,
@@ -203,25 +201,6 @@ def test_verify_against_table_flags_missing_and_extra_rows():
     report = verify_against_table(ledger, long)
     (div,) = report.divergences
     assert div.position == 5 and div.expected is None
-
-
-def test_apply_batch_builds_table_and_ledger_in_lockstep():
-    table, ledger = DataTable("Events"), Ledger()
-    for batch in WORKED_BATCHES:
-        table, record = apply_batch(table, ledger, batch)
-    assert table.rows == WORKED_HISTORY
-    assert record.lid == 3
-    assert verify_against_table(ledger, table).consistent
-
-
-def test_apply_batch_rejects_cross_batch_duplicate_key():
-    table, ledger = DataTable("Events"), Ledger()
-    table, _ = apply_batch(table, ledger, WORKED_BATCHES[0])
-    rows_before, records_before = table.rows, list(ledger.records)
-    with pytest.raises(DuplicateKeyError):
-        apply_batch(table, ledger, UpdateBatch([UpdateRecord(1, "t1", "again")]))
-    assert table.rows == rows_before
-    assert ledger.records == records_before
 
 
 def test_round_trip_rebuild_is_record_identical():

@@ -146,6 +146,19 @@ def test_verify_corrupt_file_is_integrity_failure(paths):
     assert invoke_cli(["verify", "--ledger", ledger])[0] == 1
 
 
+def test_verify_corrupt_data_file_is_storage_failure_with_line(paths):
+    ledger, table = _init_and_fill(paths)
+    whole = table.read_bytes()
+    table.write_bytes(whole.replace(b"opt2", b"opt\xff"))  # invalid UTF-8 in row 2
+    code, _, err = invoke_cli(["verify", "--ledger", ledger, "--table", table])
+    assert code == 3
+    assert "CORRUPT_RECORD (line 3)" in err
+    table.write_bytes(whole[:-5])  # torn final line
+    code, _, err = invoke_cli(["verify", "--ledger", ledger, "--table", table])
+    assert code == 3
+    assert "CORRUPT_RECORD (line 5)" in err
+
+
 def test_verify_name_mismatch_is_usage_error(paths, tmp_path):
     ledger, table = _init_and_fill(paths)
     other_l, other_t = tmp_path / "o.ctl", tmp_path / "o.ctd"

@@ -20,12 +20,7 @@ from chaintable import (
     verify_chain,
 )
 from chaintable.chain import compute_hash
-from chaintable.storage import (
-    append_record,
-    create_ledger_file,
-    parse_record_line,
-    render_record,
-)
+from chaintable.storage import parse_record_line, render_record
 from conftest import WORKED_BATCHES, build_worked_ledger, random_batch
 
 
@@ -39,7 +34,7 @@ def _write_worked_file(path) -> Ledger:
 
 def test_create_writes_exact_header(tmp_path):
     path = tmp_path / "l.ctl"
-    with create_ledger_file(path, "Events") as lf:
+    with LedgerFile.create(path, "Events") as lf:
         assert lf.record_count == 0 and lf.tip_hash is None
     assert path.read_bytes() == b"CHAINTABLE-LEDGER v1 Events double-sha256-v1\n"
     assert read_ledger_header(path) == "Events"
@@ -47,14 +42,14 @@ def test_create_writes_exact_header(tmp_path):
 
 def test_create_refuses_existing_path(tmp_path):
     path = tmp_path / "l.ctl"
-    create_ledger_file(path, "Events").close()
+    LedgerFile.create(path, "Events").close()
     with pytest.raises(FileExistsError):
-        create_ledger_file(path, "Events")
+        LedgerFile.create(path, "Events")
 
 
 def test_create_fails_on_unwritable_path(tmp_path):
     with pytest.raises(OSError):
-        create_ledger_file(tmp_path, "Events")  # a directory, not a file
+        LedgerFile.create(tmp_path, "Events")  # a directory, not a file
 
 
 def test_open_missing_file_raises(tmp_path):
@@ -128,7 +123,7 @@ def test_append_detects_out_of_band_change(tmp_path):
 
 def test_second_writer_is_locked_out(tmp_path):
     path = tmp_path / "l.ctl"
-    with create_ledger_file(path, "Events"):
+    with LedgerFile.create(path, "Events"):
         with pytest.raises(LockError):
             LedgerFile.open(path)
     # Lock is released on close.
@@ -171,7 +166,7 @@ def test_open_with_repair_truncates_partial_tail(tmp_path):
         assert lf.record_count == 3
         # After repair the file is appendable again at the right lid.
         record = append_batch(ledger, UpdateBatch([UpdateRecord(7, "t7", "x")]))
-        append_record(lf, record)
+        lf.append(record)
     assert len(load_ledger(path)) == 4
 
 

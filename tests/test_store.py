@@ -17,6 +17,7 @@ from chaintable import (
     load_ledger,
     read_data_file,
     reconstruct,
+    verify_against_table,
 )
 from conftest import WORKED_BATCHES, WORKED_HISTORY, random_op_sequence
 
@@ -50,6 +51,16 @@ def test_create_refuses_existing_files(tmp_path):
     assert not (tmp_path / "other.ctl").exists()  # no half-created pair
 
 
+def test_store_append_builds_table_and_ledger_in_lockstep(tmp_path):
+    ledger_path, table_path = _paths(tmp_path)
+    with ChainTableStore.create(ledger_path, table_path, "Events") as store:
+        for batch in WORKED_BATCHES:
+            record = store.append(batch)
+        assert store.table.rows == WORKED_HISTORY
+        assert record.lid == 3
+        assert verify_against_table(store.ledger, store.table).consistent
+
+
 def test_append_rejects_duplicate_key_with_no_effect(tmp_path):
     ledger_path, table_path = _paths(tmp_path)
     with ChainTableStore.create(ledger_path, table_path, "Events") as store:
@@ -61,6 +72,17 @@ def test_append_rejects_duplicate_key_with_no_effect(tmp_path):
         assert ledger_path.read_bytes() == ledger_before
         assert table_path.read_bytes() == table_before
         store.append(WORKED_BATCHES[1])  # store still usable
+
+
+def test_store_append_rejects_cross_batch_duplicate_key(tmp_path):
+    ledger_path, table_path = _paths(tmp_path)
+    with ChainTableStore.create(ledger_path, table_path, "Events") as store:
+        store.append(WORKED_BATCHES[0])
+        rows_before, records_before = store.table.rows, list(store.ledger.records)
+        with pytest.raises(DuplicateKeyError):
+            store.append(UpdateBatch([UpdateRecord(1, "t1", "again")]))
+        assert store.table.rows == rows_before
+        assert store.ledger.records == records_before
 
 
 def test_reopen_continues_the_chain(tmp_path):
