@@ -12,18 +12,11 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, replace
 
-from .chain import (
-    ChainRecord,
-    Ledger,
-    compute_hash,
-    verify_against_table,
-    verify_chain,
-)
-from .encoding import Hash, UpdateBatch, UpdateRecord
-from .errors import LidOutOfRangeError, StorageViolation
+from .chain import ChainRecord, Ledger, VerificationReport, compute_hash, verify_against_table
+from .encoding import UpdateBatch, UpdateRecord
+from .errors import InvalidLedgerError, LidOutOfRangeError, StorageViolation
 from .storage import ledger_header_line, load_ledger, render_record
 from .table import DataTable
 
@@ -45,7 +38,7 @@ class AttackOutcome:
     records_requiring_rewrite: int
 
 
-def _read_ledger(path: Path) -> Ledger:
+def _read_ledger(path: str | os.PathLike[str]) -> Ledger:
     """Parse strictly, so re-rendering a record gives back its exact bytes."""
     try:
         return load_ledger(path)
@@ -53,13 +46,50 @@ def _read_ledger(path: Path) -> Ledger:
         raise ValueError(f"{path} is not a well-formed ledger ({exc}); repair it first") from exc
 
 
-def _write_ledger(path: Path, ledger: Ledger) -> None:
+def overwrite_ledger(path: str | os.PathLike[str], ledger: Ledger) -> None:
+    """Replace the file's bytes with ledger's rendering, outside the write guards."""
     lines = [ledger_header_line(ledger.name), *map(render_record, ledger.records)]
     payload = "".join(line + "\n" for line in lines).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(payload)
         fh.flush()
         os.fsync(fh.fileno())
+
+
+def forge(
+    ledger: Ledger,
+    lid: int,
+    record_index: int,
+    new_description: str | None,
+    rewrite_through: int | None = None,
+) -> Ledger:
+    """A tampered copy of ledger: one description at lid replaced, then the
+    stored hash and prevHash recomputed for lids lid..rewrite_through.
+
+    rewrite_through None is the in-place edit (an empty re-hash range). This
+    is the one re-hash loop behind every attack helper and the tamper command.
+    """
+    n = len(ledger.records)
+    if rewrite_through is None:
+        if not 1 <= lid <= n:
+            raise LidOutOfRangeError(f"lid {lid} out of range for {n} records")
+        rewrite_through = lid - 1
+    elif not 1 <= lid <= rewrite_through <= n:
+        raise LidOutOfRangeError(
+            f"need 1 <= lid <= rewrite_through <= {n}, got lid={lid}, "
+            f"rewrite_through={rewrite_through}"
+        )
+    forged = ledger.copy()
+    records = forged.records
+    target = records[lid - 1]
+    batch = _replace_description(target.update, record_index, new_description)
+    records[lid - 1] = replace(target, update=batch)
+    for position in range(lid, rewrite_through + 1):
+        record = records[position - 1]
+        prev = record.prev_hash if position == lid else records[position - 2].hash
+        rehashed = compute_hash(position, record.update, prev)
+        records[position - 1] = ChainRecord(position, rehashed, prev, record.update)
+    return forged
 
 
 def _replace_description(
@@ -86,19 +116,7 @@ def tamper_update_in_place(
     This is the naive in-place edit: exactly one line of the file changes and
     nothing is appended, so chain verification fails at that lid.
     """
-    path = Path(path)
-    ledger = _read_ledger(path)
-    records = ledger.records
-    if not 1 <= lid <= len(records):
-        raise LidOutOfRangeError(f"lid {lid} out of range for {len(records)} records")
-    target = records[lid - 1]
-    records[lid - 1] = ChainRecord(
-        lid=target.lid,
-        hash=target.hash,
-        prev_hash=target.prev_hash,
-        update=_replace_description(target.update, record_index, new_description),
-    )
-    _write_ledger(path, ledger)
+    overwrite_ledger(path, forge(_read_ledger(path), lid, record_index, new_description))
 
 
 def tamper_with_rehash(
@@ -116,62 +134,28 @@ def tamper_with_rehash(
     chain that re-verifies, at which point the table comparison is what
     catches the lie.
     """
-    path = Path(path)
-    ledger = _read_ledger(path)
-    records = ledger.records
-    n = len(records)
-    if not (1 <= lid <= rewrite_through <= n):
-        raise LidOutOfRangeError(
-            f"need 1 <= lid <= rewrite_through <= {n}, got lid={lid}, "
-            f"rewrite_through={rewrite_through}"
-        )
-    updates = [record.update for record in records]
-    updates[lid - 1] = _replace_description(updates[lid - 1], record_index, new_value)
-    hashes: list[Hash] = [record.hash for record in records]
-    prevs: list[Hash | None] = [record.prev_hash for record in records]
-    for position in range(lid, rewrite_through + 1):
-        i = position - 1
-        if position > lid:
-            prevs[i] = hashes[i - 1]
-        hashes[i] = compute_hash(position, updates[i], prevs[i])
-        records[i] = ChainRecord(
-            lid=position, hash=hashes[i], prev_hash=prevs[i], update=updates[i]
-        )
-    _write_ledger(path, ledger)
+    forged = forge(_read_ledger(path), lid, record_index, new_value, rewrite_through)
+    overwrite_ledger(path, forged)
 
 
 def measure_rewrite_cascade(ledger: Ledger, k: int) -> int:
     """Count the records whose stored hash fields a k-mutation forces to change.
 
-    Constructive: mutate the update at lid k, re-hash forward to the end, and
-    count every record whose hash or prevHash no longer matches what is
-    stored. Restoring a verifiable chain requires rewriting exactly these.
+    Constructive: mutate the update at lid k (flip its first record's
+    description), re-hash forward to the end, and count every record whose
+    hash or prevHash no longer matches what is stored. Restoring a
+    verifiable chain requires rewriting exactly these.
     """
     n = len(ledger.records)
     if not 1 <= k <= n:
         raise LidOutOfRangeError(f"lid {k} out of range for {n} records")
-    changed = 0
-    rolling_hash: Hash | None = None
-    for i in range(k - 1, n):
-        record = ledger.records[i]
-        if i == k - 1:
-            batch = _mutation_marker(record.update)
-            new_prev = record.prev_hash
-        else:
-            batch = record.update
-            new_prev = rolling_hash
-        new_hash = compute_hash(record.lid, batch, new_prev)
-        if new_hash != record.hash or new_prev != record.prev_hash:
-            changed += 1
-        rolling_hash = new_hash
-    return changed
-
-
-def _mutation_marker(batch: UpdateBatch) -> UpdateBatch:
-    """A minimal content change: flip the first record's description."""
-    first = batch.records[0]
-    new_description = "tampered" if first.description is None else first.description + "'"
-    return _replace_description(batch, 1, new_description)
+    description = ledger.records[k - 1].update.records[0].description
+    marker = "tampered" if description is None else description + "'"
+    forged = forge(ledger, k, 1, marker, n)
+    return sum(
+        (old.hash, old.prev_hash) != (new.hash, new.prev_hash)
+        for old, new in zip(ledger.records, forged.records)
+    )
 
 
 def assess_detection(
@@ -183,12 +167,14 @@ def assess_detection(
     """Measure which check catches a (possibly tampered) ledger/table pair.
 
     Pass the tampered side and the honest counterpart. The table comparison
-    only runs when the chain still verifies, mirroring the operator workflow.
+    only runs when the chain still verifies, mirroring the operator workflow;
+    the chain is verified once, inside verify_against_table.
     """
-    report = verify_chain(ledger)
-    detected_by_table = False
-    if report.valid:
+    try:
         detected_by_table = not verify_against_table(ledger, table).consistent
+        report = VerificationReport(valid=True)
+    except InvalidLedgerError as exc:
+        detected_by_table, report = False, exc.report
     return AttackOutcome(
         scenario=scenario,
         detected_by_chain=not report.valid,

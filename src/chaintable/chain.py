@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .encoding import Hash, UpdateBatch, canonical_encode_update
 from .errors import InvalidLedgerError, MalformedBatchError
@@ -182,14 +183,14 @@ def materialize(ledger: Ledger) -> ActualView:
     return replay_rows(reconstruct(ledger).rows)
 
 
-def verify_against_table(ledger: Ledger, table: DataTable) -> ConsistencyReport:
-    """Compare the ledger's reconstructed history against a table, row by row.
+def compare_rows(
+    expected_rows: Sequence[DataRow], found_rows: Sequence[DataRow]
+) -> ConsistencyReport:
+    """Compare a ledger's row history against a table's rows, position by position.
 
     Every positional disagreement is reported, including rows missing from
     the table and extra rows beyond the ledger history.
     """
-    expected_rows = reconstruct(ledger).rows
-    found_rows = table.rows
     divergences: list[Divergence] = []
     for index in range(max(len(expected_rows), len(found_rows))):
         expected = expected_rows[index] if index < len(expected_rows) else None
@@ -201,3 +202,8 @@ def verify_against_table(ledger: Ledger, table: DataTable) -> ConsistencyReport:
             )
     return ConsistencyReport(consistent=not divergences, divergences=tuple(divergences))
 
+
+def verify_against_table(ledger: Ledger, table: DataTable) -> ConsistencyReport:
+    """Verify the chain once (raising InvalidLedgerError if it is broken), then
+    compare its reconstructed history against table with compare_rows."""
+    return compare_rows(reconstruct(ledger).rows, table.rows)

@@ -17,14 +17,8 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from .attack import measure_rewrite_cascade, tamper_update_in_place, tamper_with_rehash
-from .chain import (
-    Divergence,
-    materialize,
-    reconstruct,
-    verify_against_table,
-    verify_chain,
-)
+from .attack import forge, measure_rewrite_cascade, overwrite_ledger
+from .chain import Divergence, VerificationReport, compare_rows, materialize, reconstruct
 from .encoding import encode_record, parse_batch_input, record_as_dict
 from .errors import (
     ChainTableError,
@@ -41,7 +35,7 @@ from .errors import (
 )
 from .storage import load_ledger
 from .store import ChainTableStore
-from .table import DataTable, read_data_file, write_data_file
+from .table import read_data_file, write_data_file
 
 EXIT_OK = 0
 EXIT_INTEGRITY = 1
@@ -122,7 +116,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(args, {"chain": {"valid": False, "failure_kind": exc.kind.name}, "table": None}, [])
         return EXIT_INTEGRITY
 
-    report = verify_chain(ledger)
+    # One verification: reconstruct checks the chain before any data file is read.
+    try:
+        history = reconstruct(ledger)
+        report = VerificationReport(valid=True)
+    except InvalidLedgerError as exc:
+        report = exc.report
     payload: dict[str, Any] = {
         "chain": {
             "valid": report.valid,
@@ -148,7 +147,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise StoreMismatchError(
                 f"ledger is for table '{ledger.name}' but data file is '{table_name}'"
             )
-        consistency = verify_against_table(ledger, DataTable(table_name, tuple(rows)))
+        consistency = compare_rows(history.rows, rows)
         payload["table"] = {
             "consistent": consistency.consistent,
             "rows": len(rows),
@@ -166,9 +165,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _refuse_out_on_ledger(args: argparse.Namespace) -> None:
+    if args.out is not None and Path(args.out).exists() and Path(args.out).samefile(args.ledger):
+        raise ValueError(f"--out {args.out} is the ledger itself; refusing to overwrite it")
+
+
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     ledger = load_ledger(args.ledger)
     table = reconstruct(ledger)
+    _refuse_out_on_ledger(args)
     write_data_file(args.out, ledger.name, table.rows)
     _emit(
         args,
@@ -180,6 +185,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def cmd_materialize(args: argparse.Namespace) -> int:
     view = materialize(load_ledger(args.ledger))
+    _refuse_out_on_ledger(args)
     entries = [
         {
             "opid": e.opid,
@@ -210,34 +216,22 @@ def cmd_tamper(args: argparse.Namespace) -> int:
     if n == 0:
         _fail("ledger holds no records; nothing to tamper with")
         return EXIT_USAGE
+    if args.scenario == 1 and args.lid is None:
+        _fail("--scenario 1 requires --lid")
+        return EXIT_USAGE
+    if args.scenario == 2 and (args.lid, args.rehash_through) != (None, None):
+        _fail("--scenario 2 always forges the final record; it takes no --lid or --rehash-through")
+        return EXIT_USAGE
 
-    if args.scenario == 1:
-        if args.lid is None:
-            _fail("--scenario 1 requires --lid")
-            return EXIT_USAGE
-        lid = args.lid
-        cascade = measure_rewrite_cascade(ledger, lid) if 1 <= lid <= n else 0
-        if args.rehash_through is None:
-            tamper_update_in_place(args.ledger, lid, args.record, args.set)
-            prediction = f"chain verification fails, first invalid lid: {lid}"
-            rehashed = None
-        else:
-            tamper_with_rehash(args.ledger, lid, args.record, args.set, args.rehash_through)
-            rehashed = args.rehash_through
-            if args.rehash_through == n:
-                prediction = (
-                    "chain verification passes; only comparison against the honest "
-                    "data table exposes the rewrite"
-                )
-            else:
-                prediction = (
-                    f"chain verification fails, first invalid lid: {args.rehash_through + 1}"
-                )
+    lid, rehashed = (args.lid, args.rehash_through) if args.scenario == 1 else (n, n)
+    forged = forge(ledger, lid, args.record, args.set, rehashed)
+    cascade = measure_rewrite_cascade(ledger, lid)
+    overwrite_ledger(args.ledger, forged)
+    if rehashed is None:
+        prediction = f"chain verification fails, first invalid lid: {lid}"
+    elif rehashed < n:
+        prediction = f"chain verification fails, first invalid lid: {rehashed + 1}"
     else:
-        lid = n
-        cascade = measure_rewrite_cascade(ledger, lid)
-        tamper_with_rehash(args.ledger, lid, args.record, args.set, n)
-        rehashed = n
         prediction = (
             "chain verification passes; only comparison against the honest "
             "data table exposes the rewrite"

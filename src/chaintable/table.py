@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .encoding import UpdateRecord, decode_line, decode_record, encode_record
+from .encoding import UpdateRecord, _is_control, decode_line, decode_record, encode_record
 from .errors import (
     DuplicateKeyError,
     MalformedBatchError,
@@ -120,7 +120,7 @@ def _data_header_line(name: str) -> str:
 
 def check_table_name(name: str) -> None:
     """Table names go into both file headers: non-empty, no control characters."""
-    if not name or any(ord(ch) < 0x20 or ord(ch) == 0x7F for ch in name):
+    if not name or any(_is_control(ch) for ch in name):
         raise ValueError(f"table name must be non-empty printable text: {name!r}")
 
 

@@ -180,6 +180,41 @@ def test_usage_errors_from_argparse(paths):
     assert invoke_cli(["tamper", "--ledger", ledger, "--scenario", "7", "--set", "x"])[0] == 2
 
 
+def test_verify_reports_broken_chain_before_opening_missing_table(paths, tmp_path):
+    ledger, _ = _init_and_fill(paths)
+    invoke_cli(["tamper", "--ledger", ledger, "--scenario", "1", "--lid", "2", "--set", "opt5"])
+    missing = tmp_path / "missing.ctd"
+    code, out, err = invoke_cli(["verify", "--ledger", ledger, "--table", missing])
+    assert (code, out, err) == (1, "chain: INVALID\nfirst invalid lid: 2\nfailure: HASH_MISMATCH\n", "")
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "materialize"])
+def test_out_naming_the_ledger_is_refused_before_writing(paths, command):
+    ledger, table = _init_and_fill(paths)
+    before = ledger.read_bytes()
+    code, out, err = invoke_cli([command, "--ledger", ledger, "--out", ledger])
+    assert code == 2 and out == "" and "is the ledger itself" in err
+    assert ledger.read_bytes() == before
+    assert invoke_cli(["verify", "--ledger", ledger, "--table", table])[0] == 0
+
+
+def test_init_refuses_c1_control_character_in_name(paths):
+    ledger, table = paths
+    code, _, err = invoke_cli(["init", "A\u0085B", "--ledger", ledger, "--table", table])
+    assert code == 2 and "table name" in err
+    assert not ledger.exists() and not table.exists()
+
+
+@pytest.mark.parametrize("extra", [["--lid", "1"], ["--rehash-through", "1"]])
+def test_tamper_scenario_two_refuses_lid_and_rehash_through(paths, extra):
+    ledger, _ = _init_and_fill(paths)
+    before = ledger.read_bytes()
+    argv = ["tamper", "--ledger", ledger, "--scenario", "2", "--set", "x", *extra]
+    code, out, err = invoke_cli(argv)
+    assert code == 2 and out == "" and "--scenario 2" in err
+    assert ledger.read_bytes() == before
+
+
 def test_json_outputs_are_parseable(paths):
     ledger, table = _init_and_fill(paths)
     for argv in (

@@ -1,9 +1,14 @@
-"""The README's library example runs as written."""
+"""The README's library example and CLI transcripts run as written."""
 
+import os
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 
 def test_library_use_example_creates_the_named_files(tmp_path, monkeypatch):
@@ -18,3 +23,60 @@ def test_library_use_example_creates_the_named_files(tmp_path, monkeypatch):
     data_lines = (tmp_path / "events.data").read_text(encoding="utf-8").splitlines()
     assert data_lines[0] == "CHAINTABLE-DATA v1 Events"
     assert len(data_lines) == 3
+
+
+def _console_steps(block):
+    """Split a console block into [command, expected stdout lines] steps. A
+    command runs on while it ends in a backslash or leaves a quote open."""
+    steps = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            steps.append([line[2:], []])
+        elif steps[-1][0].endswith("\\") or steps[-1][0].count("'") % 2:
+            steps[-1][0] += "\n" + line
+        else:
+            steps[-1][1].append(line)
+    for step in steps:
+        while step[1] and not step[1][-1]:
+            step[1].pop()
+    return steps
+
+
+def _run_console_block(block, cwd):
+    shell_prelude = f"chaintable() {{ {shlex.quote(sys.executable)} -m chaintable \"$@\"; }}\n"
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    for command, expected in _console_steps(block):
+        result = subprocess.run(
+            ["bash", "-c", shell_prelude + command],
+            cwd=cwd, env=env, capture_output=True, text=True, check=False,
+        )
+        actual = result.stdout.splitlines()
+        assert len(actual) == len(expected), (command, result.stdout, result.stderr)
+        for want, got in zip(expected, actual):
+            pattern = ".*".join(map(re.escape, want.split("...")))
+            assert re.fullmatch(pattern, got), (command, want, got)
+
+
+def test_console_transcripts_replay_as_written(tmp_path):
+    """Every ```console block, run in order through bash; `...` matches any text.
+    A block introduced as starting from a fresh two-record store gets one,
+    rebuilt in a new directory by replaying the first block."""
+    parts = README.read_text(encoding="utf-8").split("```")
+    blocks = [
+        (" ".join(parts[i - 1].split()), parts[i][len("console\n") :])
+        for i in range(1, len(parts), 2)
+        if parts[i].startswith("console\n")
+    ]
+    assert len(blocks) >= 4
+    cwd = tmp_path / "store"
+    cwd.mkdir()
+    rebuilt = 0
+    for prose, block in blocks:
+        if "fresh two-record store" in prose:
+            rebuilt += 1
+            cwd = tmp_path / f"fresh{rebuilt}"
+            cwd.mkdir()
+            _run_console_block(blocks[0][1], cwd)
+        _run_console_block(block, cwd)
+    assert rebuilt == 1

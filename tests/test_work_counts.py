@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import chaintable.attack
 import chaintable.chain
 import chaintable.storage
 from chaintable import ChainTableStore, UpdateBatch, UpdateRecord
@@ -35,6 +36,7 @@ def _counted(monkeypatch, argv, stdin_text=None):
         monkeypatch.setattr(module, name, counting)
 
     count(chaintable.chain, "compute_hash")
+    count(chaintable.attack, "compute_hash")
     count(chaintable.storage, "parse_record_line")
     code, _, err = invoke_cli(argv, stdin_text)
     assert code == 0, err
@@ -50,10 +52,26 @@ def test_append_parses_once_and_hashes_2n_plus_1(tmp_path, monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("command", ["verify", "reconstruct", "materialize"])
+@pytest.mark.parametrize("command", ["verify", "verify --table", "reconstruct", "materialize"])
 def test_read_commands_parse_and_hash_each_record_once(tmp_path, monkeypatch, n, command):
-    ledger, _ = _store(tmp_path, n)
-    argv = [command, "--ledger", ledger]
+    ledger, table = _store(tmp_path, n)
+    argv = [command.split()[0], "--ledger", ledger]
+    if command == "verify --table":
+        argv += ["--table", table]
     if command == "reconstruct":
         argv += ["--out", tmp_path / "rebuilt.ctd"]
     assert _counted(monkeypatch, argv) == (n, n)
+
+
+@pytest.mark.parametrize(("n", "k"), [(1, 1), (30, 1), (30, 15), (30, 30)])
+def test_tamper_in_place_parses_once_and_hashes_the_cascade(tmp_path, monkeypatch, n, k):
+    ledger, _ = _store(tmp_path, n)
+    argv = ["tamper", "--ledger", ledger, "--scenario", "1", "--lid", k, "--set", "x"]
+    assert _counted(monkeypatch, argv) == (n - k + 1, n)
+
+
+@pytest.mark.parametrize("n", (1, 30))
+def test_tamper_scenario_two_parses_once_and_hashes_twice(tmp_path, monkeypatch, n):
+    ledger, _ = _store(tmp_path, n)
+    argv = ["tamper", "--ledger", ledger, "--scenario", "2", "--set", "x"]
+    assert _counted(monkeypatch, argv) == (2, n)
