@@ -10,17 +10,19 @@ identical bytes; any field difference changes the bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from .errors import MalformedBatchError, StorageViolation, StorageViolationKind
 
 _HEX_DIGITS = set("0123456789abcdef")
 
+# The one definition of a control character: C0, DEL and C1.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
-def _is_control(ch: str) -> bool:
-    code = ord(ch)
-    return code < 0x20 or 0x7F <= code <= 0x9F
+# One shared encoder: json.dumps with these options builds a new one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class UpdateRecord:
             raise MalformedBatchError(f"opid must be a positive integer, got {self.opid!r}")
         if not isinstance(self.timestamp, str) or not self.timestamp:
             raise MalformedBatchError("timestamp must be a non-empty string")
-        if any(_is_control(ch) for ch in self.timestamp):
+        if _CONTROL.search(self.timestamp):
             raise MalformedBatchError("timestamp must not contain control characters")
         if self.description is not None and not isinstance(self.description, str):
             raise MalformedBatchError("description must be a string or None")
@@ -87,9 +89,14 @@ class UpdateRecord:
 
 @dataclass(frozen=True)
 class UpdateBatch:
-    """The ordered, non-empty set of rows written by one table operation."""
+    """The ordered, non-empty set of rows written by one table operation.
+
+    Its canonical bytes are encoded once, at construction, and kept: the batch
+    and its records are frozen, so they cannot go stale.
+    """
 
     records: tuple[UpdateRecord, ...]
+    _encoded: bytes = field(init=False, repr=False, compare=False)
 
     def __init__(self, records: Iterable[UpdateRecord]) -> None:
         object.__setattr__(self, "records", tuple(records))
@@ -104,6 +111,7 @@ class UpdateBatch:
                     f"duplicate (opid, timestamp) within batch: {record.key}"
                 )
             seen.add(record.key)
+        object.__setattr__(self, "_encoded", _encode_records(self.records))
 
     def __iter__(self) -> Iterator[UpdateRecord]:
         return iter(self.records)
@@ -123,15 +131,18 @@ def record_as_dict(record: UpdateRecord) -> dict[str, Any]:
 
 def encode_record(record: UpdateRecord) -> str:
     """Canonical one-line JSON object for a single record."""
-    return json.dumps(record_as_dict(record), separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode(record_as_dict(record))
+
+
+def _encode_records(records: tuple[UpdateRecord, ...]) -> bytes:
+    return _ENCODER.encode([record_as_dict(record) for record in records]).encode("utf-8")
 
 
 def canonical_encode_update(batch: UpdateBatch) -> bytes:
     """Deterministic byte encoding of a batch, as hashed and as stored."""
     if not isinstance(batch, UpdateBatch):
         raise MalformedBatchError(f"not an update batch: {batch!r}")
-    body = ",".join(encode_record(record) for record in batch)
-    return ("[" + body + "]").encode("utf-8")
+    return batch._encoded
 
 
 def _record_from_obj(obj: Any) -> UpdateRecord:
@@ -148,7 +159,7 @@ def decode_record(text: str) -> UpdateRecord:
     """Parse one canonical record object."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise MalformedBatchError(f"invalid record JSON: {exc}") from exc
     return _record_from_obj(obj)
 
@@ -158,7 +169,7 @@ def _json_value(text: str | bytes) -> Any:
         text = text.decode("utf-8")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise MalformedBatchError(f"invalid update JSON: {exc}") from exc
 
 

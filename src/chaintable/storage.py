@@ -32,7 +32,7 @@ from .errors import (
     StorageViolation,
     StorageViolationKind,
 )
-from .table import check_table_name
+from .table import check_table_name, is_table_name
 
 LEDGER_MAGIC = "CHAINTABLE-LEDGER"
 LEDGER_VERSION = "v1"
@@ -46,19 +46,18 @@ def ledger_header_line(name: str) -> str:
 
 
 def parse_ledger_header(line: str) -> str:
-    """Return the table name from a complete header line."""
+    """Return the table name from a complete header line; refuses a name that
+    writing would refuse."""
     prefix = f"{LEDGER_MAGIC} {LEDGER_VERSION} "
     suffix = f" {HASH_ALGORITHM}"
-    if (
-        not line.startswith(prefix)
-        or not line.endswith(suffix)
-        or len(line) <= len(prefix) + len(suffix)
-    ):
+    # A line shorter than prefix + suffix slices to "", which is no name.
+    name = line[len(prefix) : -len(suffix)]
+    if not line.startswith(prefix) or not line.endswith(suffix) or not is_table_name(name):
         raise StorageViolation(
             StorageViolationKind.HEADER_MISMATCH,
             f"not a {LEDGER_MAGIC} {LEDGER_VERSION}/{HASH_ALGORITHM} header: {line!r}",
         )
-    return line[len(prefix) : -len(suffix)]
+    return name
 
 
 def render_record(record: ChainRecord) -> str:
@@ -80,12 +79,13 @@ def parse_record_line(line: str, lineno: int) -> ChainRecord:
     if not _LID_RE.match(lid_text):
         raise corrupt(f"bad lid field {lid_text!r}")
     try:
+        lid = int(lid_text)  # ValueError past the interpreter's digit limit
         stored_hash = Hash.from_hex(hash_text)
         prev_hash = None if prev_text == ABSENT_PREV else Hash.from_hex(prev_text)
         update = decode_update(update_text)
     except (ValueError, MalformedBatchError) as exc:
         raise corrupt(str(exc)) from exc
-    record = ChainRecord(int(lid_text), stored_hash, prev_hash, update)
+    record = ChainRecord(lid, stored_hash, prev_hash, update)
     if render_record(record) != line:
         raise corrupt("record line is not in canonical form")
     return record

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .encoding import UpdateRecord, _is_control, decode_line, decode_record, encode_record
+from .encoding import _CONTROL, UpdateRecord, decode_line, decode_record, encode_record
 from .errors import (
     DuplicateKeyError,
     MalformedBatchError,
@@ -118,16 +118,21 @@ def _data_header_line(name: str) -> str:
     return f"{DATA_MAGIC} {DATA_VERSION} {name}"
 
 
-def check_table_name(name: str) -> None:
+def is_table_name(name: str) -> bool:
     """Table names go into both file headers: non-empty, no control characters."""
-    if not name or any(_is_control(ch) for ch in name):
+    return bool(name) and _CONTROL.search(name) is None
+
+
+def check_table_name(name: str) -> None:
+    if not is_table_name(name):
         raise ValueError(f"table name must be non-empty printable text: {name!r}")
 
 
 def parse_data_header(line: str) -> str:
-    """Return the table name from a data-file header line."""
+    """Return the table name from a data-file header line; refuses a name
+    that writing would refuse."""
     prefix = f"{DATA_MAGIC} {DATA_VERSION} "
-    if not line.startswith(prefix) or len(line) == len(prefix):
+    if not line.startswith(prefix) or not is_table_name(line[len(prefix) :]):
         raise StorageViolation(
             StorageViolationKind.HEADER_MISMATCH,
             f"not a {DATA_MAGIC} {DATA_VERSION} header: {line!r}",

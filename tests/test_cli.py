@@ -205,6 +205,72 @@ def test_init_refuses_c1_control_character_in_name(paths):
     assert not ledger.exists() and not table.exists()
 
 
+def _rewrite_header_name(path, name):
+    header, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header.replace(b"Events", name.encode("utf-8")) + b"\n" + rest)
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (["verify"], 1),
+        (["verify", "--table", "{table}"], 1),
+        (["status"], 3),
+        (["append", "--table", "{table}"], 3),
+        (["reconstruct", "--out", "{out}"], 3),
+    ],
+    ids=["verify", "verify-table", "status", "append", "reconstruct"],
+)
+def test_header_name_that_writing_refuses_is_refused_on_read(paths, tmp_path, argv, code):
+    ledger, table = _init_and_fill(paths)
+    for path in (ledger, table):
+        _rewrite_header_name(path, "A\u0085B")
+    before = ledger.read_bytes(), table.read_bytes()
+    fill = {"{table}": table, "{out}": tmp_path / "rebuilt.ctd"}
+    argv = [argv[0], "--ledger", ledger, *(fill.get(a, a) for a in argv[1:])]
+    got, out, err = invoke_cli(argv, B1)
+    assert got == code and "HEADER_MISMATCH" in err
+    assert (ledger.read_bytes(), table.read_bytes()) == before
+    assert not (tmp_path / "rebuilt.ctd").exists()
+
+
+def test_data_header_name_that_writing_refuses_is_refused_on_read(paths):
+    ledger, table = _init_and_fill(paths)
+    _rewrite_header_name(table, "A\u0085B")
+    code, _, err = invoke_cli(["verify", "--ledger", ledger, "--table", table])
+    assert code == 3 and "HEADER_MISMATCH" in err
+
+
+_LONG_INT = "9" * 5000  # past the interpreter's default integer-string digit limit
+
+
+@pytest.mark.parametrize(("command", "code"), [("verify", 1), ("status", 3)])
+def test_over_long_lid_is_a_corrupt_record(paths, command, code):
+    ledger, _ = _init_and_fill(paths)
+    lines = ledger.read_bytes().split(b"\n")
+    lines[3] = _LONG_INT.encode("ascii") + lines[3][1:]  # lid 3 on line 4
+    ledger.write_bytes(b"\n".join(lines))
+    got, _, err = invoke_cli([command, "--ledger", ledger])
+    assert got == code and "CORRUPT_RECORD (line 4)" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "append"])
+def test_over_long_opid_in_data_file_is_a_corrupt_record(paths, command):
+    ledger, table = _init_and_fill(paths)
+    table.write_bytes(table.read_bytes().replace(b'"opid":2', b'"opid":' + _LONG_INT.encode()))
+    got, _, err = invoke_cli([command, "--ledger", ledger, "--table", table], B1)
+    assert got == 3 and "CORRUPT_RECORD (line 3)" in err
+
+
+def test_over_long_opid_in_operator_batch_is_invalid_json(paths):
+    ledger, table = _init_and_fill(paths)
+    before = ledger.read_bytes()
+    batch = '[{"opid":%s,"timestamp":"t9","description":"x"}]' % _LONG_INT
+    code, _, err = invoke_cli(["append", "--ledger", ledger, "--table", table], batch)
+    assert code == 2 and "invalid update JSON" in err
+    assert ledger.read_bytes() == before
+
+
 @pytest.mark.parametrize("extra", [["--lid", "1"], ["--rehash-through", "1"]])
 def test_tamper_scenario_two_refuses_lid_and_rehash_through(paths, extra):
     ledger, _ = _init_and_fill(paths)

@@ -1,5 +1,7 @@
 """Canonical update encoding: determinism, byte layout, validation."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from chaintable import (
     decode_update,
     parse_batch_input,
 )
-from chaintable.encoding import decode_record, encode_record
+from chaintable.encoding import _CONTROL, decode_record, encode_record
 
 
 def test_single_record_encoding_is_exact():
@@ -159,3 +161,58 @@ def test_encode_decode_round_trip_property(records):
     assert decode_update(canonical_encode_update(batch)) == batch
     for record in records:
         assert decode_record(encode_record(record)) == record
+
+
+def _is_control_reference(ch: str) -> bool:
+    """The per-character predicate the control-character regex replaced."""
+    code = ord(ch)
+    return code < 0x20 or 0x7F <= code <= 0x9F
+
+
+def test_control_regex_agrees_with_reference_on_every_code_point():
+    search = _CONTROL.search
+    disagree = [
+        code
+        for code in range(0x110000)
+        if (search(chr(code)) is not None) != _is_control_reference(chr(code))
+    ]
+    assert disagree == []
+
+
+def _per_record_join_reference(batch: UpdateBatch) -> bytes:
+    """The per-record encoding that the shared batch encoder replaced."""
+    body = ",".join(
+        json.dumps(
+            {"opid": r.opid, "timestamp": r.timestamp, "description": r.description},
+            separators=(",", ":"),
+            ensure_ascii=False,
+        )
+        for r in batch
+    )
+    return ("[" + body + "]").encode("utf-8")
+
+
+# Characters JSON escapes or that are easy to mis-encode, mixed into arbitrary
+# text; timestamps may not hold control characters, descriptions may.
+_escaped = st.sampled_from(['"', "\\", "/", "\u2028", "\u2029", "é", "\U0001f600"])
+_controls = st.sampled_from(["\x00", "\n", "\x1f", "\x7f", "\x85"])
+
+
+def _wide_text(*extra, exclude=("Cs",)):
+    alphabet = st.one_of(_escaped, *extra, st.characters(blacklist_categories=exclude))
+    return st.text(alphabet=alphabet)
+
+
+_wide_records = st.builds(
+    UpdateRecord,
+    opid=st.one_of(st.integers(1, 2**64), st.integers(10**300, 10**301)),
+    timestamp=_wide_text(exclude=("Cs", "Cc")).filter(bool),
+    description=st.one_of(st.none(), _wide_text(_controls)),
+)
+
+
+@given(st.lists(_wide_records, min_size=1, max_size=6, unique_by=lambda r: r.key))
+def test_canonical_encoding_matches_per_record_join_reference(records):
+    batch = UpdateBatch(records)
+    assert canonical_encode_update(batch) == _per_record_join_reference(batch)
+    assert decode_update(canonical_encode_update(batch)) == batch

@@ -1,5 +1,6 @@
-"""Exact work per CLI command on an n-record store: hashes computed and ledger
-lines parsed. Counts, not timings, so a redundant pass fails deterministically."""
+"""Exact work per CLI command on an n-record store: hashes computed, ledger
+lines parsed and batches encoded. Counts, not timings, so a redundant pass
+fails deterministically."""
 
 from collections import Counter
 
@@ -7,6 +8,7 @@ import pytest
 
 import chaintable.attack
 import chaintable.chain
+import chaintable.encoding
 import chaintable.storage
 from chaintable import ChainTableStore, UpdateBatch, UpdateRecord
 from conftest import invoke_cli
@@ -22,8 +24,9 @@ def _store(tmp_path, n):
     return ledger, table
 
 
-def _counted(monkeypatch, argv, stdin_text=None):
-    """Run one CLI command; returns (compute_hash calls, parse_record_line calls)."""
+def _counting(monkeypatch):
+    """Count compute_hash, parse_record_line and canonical batch encodes (the
+    one function that fills an UpdateBatch's kept bytes) from here on."""
     calls = Counter()
 
     def count(module, name):
@@ -38,9 +41,16 @@ def _counted(monkeypatch, argv, stdin_text=None):
     count(chaintable.chain, "compute_hash")
     count(chaintable.attack, "compute_hash")
     count(chaintable.storage, "parse_record_line")
+    count(chaintable.encoding, "_encode_records")
+    return calls
+
+
+def _counted(monkeypatch, argv, stdin_text=None):
+    """Run one CLI command; returns (hashes, parsed lines, batch encodes)."""
+    calls = _counting(monkeypatch)
     code, _, err = invoke_cli(argv, stdin_text)
     assert code == 0, err
-    return calls["compute_hash"], calls["parse_record_line"]
+    return calls["compute_hash"], calls["parse_record_line"], calls["_encode_records"]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -48,7 +58,19 @@ def test_append_parses_once_and_hashes_2n_plus_1(tmp_path, monkeypatch, n):
     ledger, table = _store(tmp_path, n)
     batch = '[{"opid":1,"timestamp":"new","description":"x"}]'
     argv = ["append", "--ledger", ledger, "--table", table]
-    assert _counted(monkeypatch, argv, batch) == (2 * n + 1, n)
+    # Encodes: each parsed line once, the new batch once; hashing and
+    # rendering reuse the kept bytes.
+    assert _counted(monkeypatch, argv, batch) == (2 * n + 1, n, n + 1)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_in_session_append_encodes_only_the_new_batch(tmp_path, monkeypatch, n):
+    ledger, table = _store(tmp_path, n)
+    with ChainTableStore.open(ledger, table) as store:
+        calls = _counting(monkeypatch)
+        store.append(UpdateBatch([UpdateRecord(1, "new", "x")]))
+    # Hashes: the store still re-verifies its n records before sealing one.
+    assert (calls["compute_hash"], calls["_encode_records"]) == (n + 1, 1)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -60,18 +82,25 @@ def test_read_commands_parse_and_hash_each_record_once(tmp_path, monkeypatch, n,
         argv += ["--table", table]
     if command == "reconstruct":
         argv += ["--out", tmp_path / "rebuilt.ctd"]
-    assert _counted(monkeypatch, argv) == (n, n)
+    assert _counted(monkeypatch, argv) == (n, n, n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_status_parses_and_encodes_each_record_once_and_hashes_none(tmp_path, monkeypatch, n):
+    ledger, _ = _store(tmp_path, n)
+    assert _counted(monkeypatch, ["status", "--ledger", ledger]) == (0, n, n)
 
 
 @pytest.mark.parametrize(("n", "k"), [(1, 1), (30, 1), (30, 15), (30, 30)])
 def test_tamper_in_place_parses_once_and_hashes_the_cascade(tmp_path, monkeypatch, n, k):
     ledger, _ = _store(tmp_path, n)
     argv = ["tamper", "--ledger", ledger, "--scenario", "1", "--lid", k, "--set", "x"]
-    assert _counted(monkeypatch, argv) == (n - k + 1, n)
+    # Encodes: n parsed lines, plus the forged batch and the cascade's marker batch.
+    assert _counted(monkeypatch, argv) == (n - k + 1, n, n + 2)
 
 
 @pytest.mark.parametrize("n", (1, 30))
 def test_tamper_scenario_two_parses_once_and_hashes_twice(tmp_path, monkeypatch, n):
     ledger, _ = _store(tmp_path, n)
     argv = ["tamper", "--ledger", ledger, "--scenario", "2", "--set", "x"]
-    assert _counted(monkeypatch, argv) == (2, n)
+    assert _counted(monkeypatch, argv) == (2, n, n + 2)
