@@ -8,14 +8,7 @@ table itself is append-only: inserts, updates, and deletions all become new
 rows, and the current state is a replay projection, never a mutation.
 """
 
-from .attack import (
-    AttackOutcome,
-    AttackScenario,
-    assess_detection,
-    measure_rewrite_cascade,
-    tamper_update_in_place,
-    tamper_with_rehash,
-)
+from .attack import AttackOutcome, assess_detection, measure_rewrite_cascade, tamper_ledger
 from .chain import (
     HASH_ALGORITHM,
     ChainRecord,
@@ -52,31 +45,19 @@ from .errors import (
     StoreInconsistentError,
     StoreMismatchError,
 )
-from .storage import LedgerFile, load_ledger, read_ledger_header
+from .storage import LedgerFile, load_ledger
 from .store import ChainTableStore
-from .table import (
-    ActualView,
-    DataRow,
-    DataTable,
-    ViewEntry,
-    actual_view,
-    import_history,
-    read_data_file,
-    replay_rows,
-    write_data_file,
-)
+from .table import ActualView, DataTable, read_data_file, replay_rows, write_data_file
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ActualView",
     "AttackOutcome",
-    "AttackScenario",
     "ChainRecord",
     "ChainTableError",
     "ChainTableStore",
     "ConsistencyReport",
-    "DataRow",
     "DataTable",
     "Divergence",
     "DuplicateKeyError",
@@ -97,24 +78,19 @@ __all__ = [
     "UpdateBatch",
     "UpdateRecord",
     "VerificationReport",
-    "ViewEntry",
-    "actual_view",
     "append_batch",
     "assess_detection",
     "canonical_encode_update",
     "compute_hash",
     "decode_update",
-    "import_history",
     "load_ledger",
     "materialize",
     "measure_rewrite_cascade",
     "parse_batch_input",
     "read_data_file",
-    "read_ledger_header",
     "reconstruct",
     "replay_rows",
-    "tamper_update_in_place",
-    "tamper_with_rehash",
+    "tamper_ledger",
     "verify_against_table",
     "verify_chain",
     "write_data_file",

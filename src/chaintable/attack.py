@@ -10,7 +10,6 @@ Never run them against a file a live writer holds open.
 
 from __future__ import annotations
 
-import enum
 import os
 from dataclasses import dataclass, replace
 
@@ -21,21 +20,13 @@ from .storage import ledger_header_line, load_ledger, render_record
 from .table import DataTable
 
 
-class AttackScenario(enum.Enum):
-    INTERMEDIATE = "INTERMEDIATE"  # mutate a record that is not the last
-    LAST = "LAST"  # mutate the final record
-    TABLE_ONLY = "TABLE_ONLY"  # mutate the data table, leave the ledger alone
-
-
 @dataclass(frozen=True)
 class AttackOutcome:
-    """What an attack experiment produced and how it was (or wasn't) caught."""
+    """Which check caught a (possibly tampered) ledger/table pair, if any."""
 
-    scenario: AttackScenario
     detected_by_chain: bool
     detected_by_table_check: bool
     first_invalid_lid: int | None
-    records_requiring_rewrite: int
 
 
 def _read_ledger(path: str | os.PathLike[str]) -> Ledger:
@@ -105,36 +96,23 @@ def _replace_description(
     return UpdateBatch(records)
 
 
-def tamper_update_in_place(
+def tamper_ledger(
     path: str | os.PathLike[str],
     lid: int,
     record_index: int,
     new_description: str | None,
+    rewrite_through: int | None = None,
 ) -> None:
-    """Rewrite one update record's description, stored hashes untouched.
+    """Rewrite one update record's description in the file at path, then
+    re-hash lids lid..rewrite_through as forge does.
 
-    This is the naive in-place edit: exactly one line of the file changes and
-    nothing is appended, so chain verification fails at that lid.
+    With rewrite_through None this is the naive in-place edit: exactly one
+    line of the file changes, so chain verification fails at lid. With
+    rewrite_through < n the chain breaks at rewrite_through + 1; only a
+    rewrite through the final record produces a chain that re-verifies, at
+    which point the table comparison is what catches the lie.
     """
-    overwrite_ledger(path, forge(_read_ledger(path), lid, record_index, new_description))
-
-
-def tamper_with_rehash(
-    path: str | os.PathLike[str],
-    lid: int,
-    record_index: int,
-    new_value: str | None,
-    rewrite_through: int,
-) -> None:
-    """Mutate like tamper_update_in_place, then re-hash lids lid..rewrite_through.
-
-    Models the powerful adversary who can rewrite stored hash and prevHash
-    fields in sequence. With rewrite_through < n the chain breaks at
-    rewrite_through + 1; only a rewrite through the final record produces a
-    chain that re-verifies, at which point the table comparison is what
-    catches the lie.
-    """
-    forged = forge(_read_ledger(path), lid, record_index, new_value, rewrite_through)
+    forged = forge(_read_ledger(path), lid, record_index, new_description, rewrite_through)
     overwrite_ledger(path, forged)
 
 
@@ -158,12 +136,7 @@ def measure_rewrite_cascade(ledger: Ledger, k: int) -> int:
     )
 
 
-def assess_detection(
-    ledger: Ledger,
-    table: DataTable,
-    scenario: AttackScenario,
-    records_requiring_rewrite: int = 0,
-) -> AttackOutcome:
+def assess_detection(ledger: Ledger, table: DataTable) -> AttackOutcome:
     """Measure which check catches a (possibly tampered) ledger/table pair.
 
     Pass the tampered side and the honest counterpart. The table comparison
@@ -176,9 +149,7 @@ def assess_detection(
     except InvalidLedgerError as exc:
         detected_by_table, report = False, exc.report
     return AttackOutcome(
-        scenario=scenario,
         detected_by_chain=not report.valid,
         detected_by_table_check=detected_by_table,
         first_invalid_lid=report.first_invalid_lid,
-        records_requiring_rewrite=records_requiring_rewrite,
     )

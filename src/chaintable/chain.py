@@ -19,9 +19,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .encoding import Hash, UpdateBatch, canonical_encode_update
+from .encoding import Hash, UpdateBatch, UpdateRecord, canonical_encode_update
 from .errors import InvalidLedgerError, MalformedBatchError
-from .table import ActualView, DataRow, DataTable, replay_rows
+from .table import ActualView, DataTable, replay_rows
 
 HASH_ALGORITHM = "double-sha256-v1"
 
@@ -89,8 +89,8 @@ class Divergence:
 
     position: int  # 1-based row position
     opid: int | None
-    expected: DataRow | None  # what the ledger says; None = extra row in table
-    found: DataRow | None  # what the table holds; None = row missing
+    expected: UpdateRecord | None  # what the ledger says; None = extra row in table
+    found: UpdateRecord | None  # what the table holds; None = row missing
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def append_batch(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:
 def reconstruct(ledger: Ledger) -> DataTable:
     """Rebuild the full append-only row history from a valid ledger."""
     _require_valid(ledger)
-    rows: list[DataRow] = []
+    rows: list[UpdateRecord] = []
     for record in ledger.records:
         rows.extend(record.update.records)
     return DataTable(name="reconstructed", rows=tuple(rows))
@@ -184,7 +184,7 @@ def materialize(ledger: Ledger) -> ActualView:
 
 
 def compare_rows(
-    expected_rows: Sequence[DataRow], found_rows: Sequence[DataRow]
+    expected_rows: Sequence[UpdateRecord], found_rows: Sequence[UpdateRecord]
 ) -> ConsistencyReport:
     """Compare a ledger's row history against a table's rows, position by position.
 

@@ -191,7 +191,7 @@ def cmd_materialize(args: argparse.Namespace) -> int:
             "opid": e.opid,
             "timestamp": e.timestamp,
             "description": e.description,
-            "deleted": e.deleted,
+            "deleted": e.is_deletion,
         }
         for e in view.entries
     ]
@@ -200,7 +200,7 @@ def cmd_materialize(args: argparse.Namespace) -> int:
         Path(args.out).write_text(rendered, encoding="utf-8")
     lines = []
     for e in view.entries:
-        if e.deleted:
+        if e.is_deletion:
             lines.append(f"opid {e.opid}: deleted (tombstone at timestamp {e.timestamp})")
         else:
             lines.append(f"opid {e.opid}: timestamp={e.timestamp} description={e.description}")

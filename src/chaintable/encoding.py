@@ -159,17 +159,17 @@ def decode_record(text: str) -> UpdateRecord:
     """Parse one canonical record object."""
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # see _json_value
         raise MalformedBatchError(f"invalid record JSON: {exc}") from exc
     return _record_from_obj(obj)
 
 
 def _json_value(text: str | bytes) -> Any:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer past
+    # the digit limit; RecursionError is nesting deeper than the interpreter allows.
     try:
-        return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:
         raise MalformedBatchError(f"invalid update JSON: {exc}") from exc
 
 

@@ -34,16 +34,7 @@ class InvalidLedgerError(ChainTableError):
 
 
 class DuplicateKeyError(ChainTableError):
-    """A (opid, timestamp) primary key is not unique.
-
-    positions holds 1-based (first_seen, duplicate) row positions when the
-    clash was found while importing an existing history; it is empty when the
-    clash is between a new batch and rows already in the table.
-    """
-
-    def __init__(self, message: str, positions: tuple[tuple[int, int], ...] = ()) -> None:
-        self.positions = positions
-        super().__init__(message)
+    """A (opid, timestamp) primary key is not unique."""
 
 
 class StorageFailureError(ChainTableError):

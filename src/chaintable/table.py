@@ -15,15 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .encoding import _CONTROL, UpdateRecord, decode_line, decode_record, encode_record
-from .errors import (
-    DuplicateKeyError,
-    MalformedBatchError,
-    StorageViolation,
-    StorageViolationKind,
-)
-
-# A data-table row and an update record are the same shape by design.
-DataRow = UpdateRecord
+from .errors import MalformedBatchError, StorageViolation, StorageViolationKind
 
 DATA_MAGIC = "CHAINTABLE-DATA"
 DATA_VERSION = "v1"
@@ -33,13 +25,13 @@ DATA_VERSION = "v1"
 class DataTable:
     """Ordered append-only row history of one protected table.
 
-    The container itself does not police key uniqueness; the write paths
-    (ChainTableStore.append, import_history) do, so that a tampered or
-    reconstructed history remains representable for comparison.
+    The container itself does not police key uniqueness; the write path
+    (ChainTableStore.append) does, so that a tampered or reconstructed
+    history remains representable for comparison.
     """
 
     name: str
-    rows: tuple[DataRow, ...] = ()
+    rows: tuple[UpdateRecord, ...] = ()
 
     def keys(self) -> set[tuple[int, str]]:
         return {row.key for row in self.rows}
@@ -49,66 +41,22 @@ class DataTable:
 
 
 @dataclass(frozen=True)
-class ViewEntry:
-    """Latest state of one opid after replay."""
-
-    opid: int
-    timestamp: str
-    description: str | None
-
-    @property
-    def deleted(self) -> bool:
-        return self.description is None
-
-
-@dataclass(frozen=True)
 class ActualView:
-    """Latest-per-opid projection of a row history, ordered by opid."""
+    """Latest-per-opid projection of a row history, ordered by opid: each
+    entry is the row that last wrote its opid (is_deletion marks a tombstone)."""
 
-    entries: tuple[ViewEntry, ...] = ()
+    entries: tuple[UpdateRecord, ...] = ()
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def replay_rows(rows: Iterable[DataRow]) -> ActualView:
+def replay_rows(rows: Iterable[UpdateRecord]) -> ActualView:
     """Replay rows in order; the last row per opid defines its state."""
-    latest: dict[int, DataRow] = {}
+    latest: dict[int, UpdateRecord] = {}
     for row in rows:
         latest[row.opid] = row
-    entries = tuple(
-        ViewEntry(opid, latest[opid].timestamp, latest[opid].description)
-        for opid in sorted(latest)
-    )
-    return ActualView(entries)
-
-
-def actual_view(table: DataTable) -> ActualView:
-    """Current ("actual") content of the table: append order wins per opid."""
-    return replay_rows(table.rows)
-
-
-def import_history(rows: Iterable[DataRow], name: str = "imported") -> DataTable:
-    """Build a DataTable from an existing row history, checking key uniqueness.
-
-    Raises DuplicateKeyError listing every offending 1-based position pair;
-    duplicates are reported, never silently dropped.
-    """
-    rows = tuple(rows)
-    first_seen: dict[tuple[int, str], int] = {}
-    clashes: list[tuple[int, int]] = []
-    for position, row in enumerate(rows, start=1):
-        if not isinstance(row, UpdateRecord):
-            raise MalformedBatchError(f"not a data row: {row!r}")
-        if row.key in first_seen:
-            clashes.append((first_seen[row.key], position))
-        else:
-            first_seen[row.key] = position
-    if clashes:
-        raise DuplicateKeyError(
-            f"duplicate (opid, timestamp) keys at positions {clashes}", tuple(clashes)
-        )
-    return DataTable(name=name, rows=rows)
+    return ActualView(tuple(latest[opid] for opid in sorted(latest)))
 
 
 # --- data file format ---------------------------------------------------
@@ -150,7 +98,7 @@ def create_data_file(path: str | os.PathLike[str], name: str) -> None:
         os.fsync(fh.fileno())
 
 
-def append_data_rows(path: str | os.PathLike[str], rows: Iterable[DataRow]) -> None:
+def append_data_rows(path: str | os.PathLike[str], rows: Iterable[UpdateRecord]) -> None:
     """Append rows to an existing data file, durable before return."""
     payload = "".join(encode_record(row) + "\n" for row in rows)
     with open(path, "a", encoding="utf-8", newline="") as fh:
@@ -159,12 +107,11 @@ def append_data_rows(path: str | os.PathLike[str], rows: Iterable[DataRow]) -> N
         os.fsync(fh.fileno())
 
 
-def read_data_file(path: str | os.PathLike[str]) -> tuple[str, list[DataRow]]:
+def read_data_file(path: str | os.PathLike[str]) -> tuple[str, list[UpdateRecord]]:
     """Read a data file; returns (table name, raw row history).
 
     Key uniqueness is deliberately not enforced here so that tampered files
-    stay loadable for comparison; run import_history on the rows when a
-    checked table is wanted.
+    stay loadable for comparison.
     """
     raw = Path(path).read_bytes()
     if not raw or b"\n" not in raw:
@@ -174,7 +121,7 @@ def read_data_file(path: str | os.PathLike[str]) -> tuple[str, list[DataRow]]:
     lines = raw.split(b"\n")
     trailing = lines.pop()  # bytes after the final newline; must be empty
     name = parse_data_header(decode_line(lines[0], 1))
-    rows: list[DataRow] = []
+    rows: list[UpdateRecord] = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             rows.append(decode_record(decode_line(line, lineno)))
@@ -191,15 +138,24 @@ def read_data_file(path: str | os.PathLike[str]) -> tuple[str, list[DataRow]]:
     return name, rows
 
 
-def write_data_file(path: str | os.PathLike[str], name: str, rows: Iterable[DataRow]) -> None:
-    """Write a whole data file atomically (temp file + rename)."""
+def write_data_file(path: str | os.PathLike[str], name: str, rows: Iterable[UpdateRecord]) -> None:
+    """Write a whole data file atomically (temp file + rename).
+
+    The temp file is created exclusively under a fresh name beside path, so a
+    planted symlink or a stale temp file is never written through.
+    """
     check_table_name(name)
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_data_header_line(name) + "\n")
-        for row in rows:
-            fh.write(encode_record(row) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_data_header_line(name) + "\n")
+            for row in rows:
+                fh.write(encode_record(row) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -17,7 +17,6 @@ from chaintable import (
     Ledger,
     UpdateBatch,
     UpdateRecord,
-    ViewEntry,
     append_batch,
 )
 from chaintable.cli import main as cli_main
@@ -73,12 +72,7 @@ def replay_ledger(ledger: Ledger) -> ActualView:
     for record in ledger.records:
         for update in record.update:
             latest[update.opid] = update
-    return ActualView(
-        tuple(
-            ViewEntry(opid, latest[opid].timestamp, latest[opid].description)
-            for opid in sorted(latest)
-        )
-    )
+    return ActualView(tuple(latest[opid] for opid in sorted(latest)))
 
 
 @pytest.fixture

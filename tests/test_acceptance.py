@@ -14,20 +14,20 @@ from random import Random
 import reference_sha256
 from chaintable import (
     ChainRecord,
+    DataTable,
     Hash,
     Ledger,
     StorageViolation,
     StorageViolationKind,
     UpdateBatch,
     UpdateRecord,
-    actual_view,
     append_batch,
-    import_history,
     load_ledger,
     materialize,
     measure_rewrite_cascade,
     read_data_file,
     reconstruct,
+    replay_rows,
     verify_against_table,
     verify_chain,
 )
@@ -265,12 +265,13 @@ def test_acceptance_6_round_trip_equivalence():
             for batch in random_op_sequence(rng, rng.randint(1, 10)):
                 append_batch(ledger, batch)
                 history.extend(batch.records)
-            table = import_history(history, "Events")  # keys stay unique
+            table = DataTable("Events", tuple(history))
+            assert len(table.keys()) == len(table)  # keys stay unique
             rebuilt = reconstruct(ledger)
             assert [encode_record(r) for r in rebuilt.rows] == [
                 encode_record(r) for r in table.rows
             ]
-            assert materialize(ledger) == actual_view(table)
+            assert materialize(ledger) == replay_rows(table.rows)
             assert materialize(ledger) == replay_ledger(ledger)
 
     _run(6, "500 random op sequences: reconstruct == history, materialize == view", 30.0, body)

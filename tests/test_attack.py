@@ -5,7 +5,6 @@ from random import Random
 import pytest
 
 from chaintable import (
-    AttackScenario,
     DataTable,
     FailureKind,
     LidOutOfRangeError,
@@ -14,8 +13,7 @@ from chaintable import (
     load_ledger,
     measure_rewrite_cascade,
     reconstruct,
-    tamper_update_in_place,
-    tamper_with_rehash,
+    tamper_ledger,
     verify_against_table,
     verify_chain,
 )
@@ -38,7 +36,7 @@ def worked_file(tmp_path):
 
 def test_in_place_mutation_detected_at_that_lid(worked_file):
     before = worked_file.read_text().splitlines()
-    tamper_update_in_place(worked_file, 2, 1, "opt5")
+    tamper_ledger(worked_file, 2, 1, "opt5")
     after = worked_file.read_text().splitlines()
     changed = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
     assert changed == [2] and len(before) == len(after)  # exactly one line differs
@@ -49,7 +47,7 @@ def test_in_place_mutation_detected_at_that_lid(worked_file):
 
 
 def test_in_place_mutation_of_last_record(worked_file):
-    tamper_update_in_place(worked_file, 3, 1, "opt6")
+    tamper_ledger(worked_file, 3, 1, "opt6")
     report = verify_chain(load_ledger(worked_file))
     assert report.first_invalid_lid == 3
 
@@ -57,13 +55,13 @@ def test_in_place_mutation_of_last_record(worked_file):
 def test_in_place_mutation_rejects_out_of_range(worked_file):
     for lid in (0, 9, -1):
         with pytest.raises(LidOutOfRangeError):
-            tamper_update_in_place(worked_file, lid, 1, "x")
+            tamper_ledger(worked_file, lid, 1, "x")
     with pytest.raises(ValueError):
-        tamper_update_in_place(worked_file, 2, 5, "x")  # batch has 2 records
+        tamper_ledger(worked_file, 2, 5, "x")  # batch has 2 records
 
 
 def test_partial_rehash_breaks_at_next_lid(worked_file):
-    tamper_with_rehash(worked_file, 2, 1, "opt5", rewrite_through=2)
+    tamper_ledger(worked_file, 2, 1, "opt5", rewrite_through=2)
     report = verify_chain(load_ledger(worked_file))
     assert not report.valid
     assert report.first_invalid_lid == 3
@@ -71,7 +69,7 @@ def test_partial_rehash_breaks_at_next_lid(worked_file):
 
 
 def test_full_rehash_passes_chain_but_fails_table_check(worked_file):
-    tamper_with_rehash(worked_file, 2, 1, "opt5", rewrite_through=3)
+    tamper_ledger(worked_file, 2, 1, "opt5", rewrite_through=3)
     tampered = load_ledger(worked_file)
     assert verify_chain(tampered).valid
     honest = DataTable("Events", WORKED_HISTORY)
@@ -81,7 +79,7 @@ def test_full_rehash_passes_chain_but_fails_table_check(worked_file):
 
 
 def test_last_record_rehash_matches_golden_forged_hash(worked_file, golden):
-    tamper_with_rehash(worked_file, 3, 1, "opt6", rewrite_through=3)
+    tamper_ledger(worked_file, 3, 1, "opt6", rewrite_through=3)
     tampered = load_ledger(worked_file)
     assert verify_chain(tampered).valid
     assert tampered.records[2].hash.hex == golden_digest(
@@ -94,11 +92,11 @@ def test_last_record_rehash_matches_golden_forged_hash(worked_file, golden):
 
 def test_rehash_rejects_bad_ranges(worked_file):
     with pytest.raises(LidOutOfRangeError):
-        tamper_with_rehash(worked_file, 0, 1, "x", rewrite_through=2)
+        tamper_ledger(worked_file, 0, 1, "x", rewrite_through=2)
     with pytest.raises(LidOutOfRangeError):
-        tamper_with_rehash(worked_file, 2, 1, "x", rewrite_through=9)
+        tamper_ledger(worked_file, 2, 1, "x", rewrite_through=9)
     with pytest.raises(LidOutOfRangeError):
-        tamper_with_rehash(worked_file, 3, 1, "x", rewrite_through=2)
+        tamper_ledger(worked_file, 3, 1, "x", rewrite_through=2)
 
 
 def test_cascade_measure_on_worked_ledger():
@@ -122,7 +120,7 @@ def test_in_place_detection_at_every_position(tmp_path):
     for k in range(1, 10):
         path = tmp_path / f"k{k}.ctl"
         _write_ledger(path, ledger)
-        tamper_update_in_place(path, k, 1, "forged")
+        tamper_ledger(path, k, 1, "forged")
         report = verify_chain(load_ledger(path))
         assert not report.valid and report.first_invalid_lid == k
 
@@ -134,7 +132,7 @@ def test_partial_rehash_detection_at_every_cut(tmp_path):
     for m in range(2, n):  # rewrite_through m < n
         path = tmp_path / f"m{m}.ctl"
         _write_ledger(path, ledger)
-        tamper_with_rehash(path, 2, 1, "forged", rewrite_through=m)
+        tamper_ledger(path, 2, 1, "forged", rewrite_through=m)
         report = verify_chain(load_ledger(path))
         assert not report.valid and report.first_invalid_lid == m + 1
 
@@ -142,20 +140,16 @@ def test_partial_rehash_detection_at_every_cut(tmp_path):
 def test_assess_detection_outcomes(worked_file):
     honest_table = DataTable("Events", WORKED_HISTORY)
 
-    tamper_update_in_place(worked_file, 2, 1, "opt5")
-    outcome = assess_detection(
-        load_ledger(worked_file), honest_table, AttackScenario.INTERMEDIATE,
-        records_requiring_rewrite=2,
-    )
+    tamper_ledger(worked_file, 2, 1, "opt5")
+    outcome = assess_detection(load_ledger(worked_file), honest_table)
     assert outcome.detected_by_chain and not outcome.detected_by_table_check
     assert outcome.first_invalid_lid == 2
-    assert outcome.records_requiring_rewrite == 2
 
 
 def test_assess_detection_for_full_rehash(worked_file):
     honest_table = DataTable("Events", WORKED_HISTORY)
-    tamper_with_rehash(worked_file, 3, 1, "opt6", rewrite_through=3)
-    outcome = assess_detection(load_ledger(worked_file), honest_table, AttackScenario.LAST)
+    tamper_ledger(worked_file, 3, 1, "opt6", rewrite_through=3)
+    outcome = assess_detection(load_ledger(worked_file), honest_table)
     assert not outcome.detected_by_chain
     assert outcome.detected_by_table_check
     assert outcome.first_invalid_lid is None
@@ -165,7 +159,7 @@ def test_assess_detection_for_table_only_tamper():
     ledger = build_worked_ledger()
     rows = list(WORKED_HISTORY)
     rows[1] = UpdateRecord(2, "t2", "opt5")
-    outcome = assess_detection(ledger, DataTable("Events", tuple(rows)), AttackScenario.TABLE_ONLY)
+    outcome = assess_detection(ledger, DataTable("Events", tuple(rows)))
     assert not outcome.detected_by_chain
     assert outcome.detected_by_table_check
 
@@ -174,12 +168,12 @@ def test_tamper_refuses_partial_file(worked_file):
     with open(worked_file, "ab") as fh:
         fh.write(b"partial")
     with pytest.raises(ValueError):
-        tamper_update_in_place(worked_file, 2, 1, "x")
+        tamper_ledger(worked_file, 2, 1, "x")
 
 
 def test_untouched_records_stay_byte_identical(worked_file):
     before = worked_file.read_text().splitlines()
-    tamper_with_rehash(worked_file, 2, 1, "opt5", rewrite_through=3)
+    tamper_ledger(worked_file, 2, 1, "opt5", rewrite_through=3)
     after = worked_file.read_text().splitlines()
     assert after[0] == before[0]  # header
     assert after[1] == before[1]  # lid 1 untouched

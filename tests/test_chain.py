@@ -146,7 +146,7 @@ def test_reconstruct_refuses_invalid_ledger():
 def test_materialize_worked_view():
     view = materialize(build_worked_ledger())
     assert [(e.opid, e.timestamp, e.description) for e in view.entries] == list(WORKED_VIEW)
-    assert not any(e.deleted for e in view.entries)
+    assert not any(e.is_deletion for e in view.entries)
 
 
 def test_materialize_empty_ledger():
@@ -158,7 +158,7 @@ def test_materialize_deletion_becomes_tombstone():
     append_batch(ledger, UpdateBatch([UpdateRecord(2, "t5", None)]))
     view = materialize(ledger)
     entries = {e.opid: e for e in view.entries}
-    assert entries[2].deleted and entries[2].timestamp == "t5"
+    assert entries[2].is_deletion and entries[2].timestamp == "t5"
     assert (entries[1].timestamp, entries[1].description) == ("t4", "opt4")
     assert (entries[3].timestamp, entries[3].description) == ("t3", "opt3")
 

@@ -312,3 +312,60 @@ def test_separate_mounts_configuration(tmp_path):
     assert invoke_cli(["init", "Events", "--ledger", ledger, "--table", table])[0] == 0
     assert invoke_cli(["append", "--ledger", ledger, "--table", table], B1)[0] == 0
     assert invoke_cli(["verify", "--ledger", ledger, "--table", table])[0] == 0
+
+
+def test_planted_temp_symlink_cannot_redirect_reconstruct_onto_the_ledger(paths, tmp_path):
+    ledger, table = _init_and_fill(paths)
+    before = ledger.read_bytes(), table.read_bytes()
+    out_path = tmp_path / "rebuilt.ctd"
+    (tmp_path / "rebuilt.ctd.tmp").symlink_to(ledger)
+    code, _, err = invoke_cli(["reconstruct", "--ledger", ledger, "--out", out_path])
+    assert code == 0, err
+    assert (ledger.read_bytes(), table.read_bytes()) == before
+    assert out_path.read_bytes() == table.read_bytes()
+    assert invoke_cli(["verify", "--ledger", ledger, "--table", table])[0] == 0
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000  # nesting far past the interpreter's recursion limit
+
+
+def _store_deep_nesting(ledger, table, target):
+    """Put _DEEP where a batch or row is stored: lid 3's update or data row 2."""
+    if target == "ledger":
+        lines = ledger.read_bytes().split(b"\n")
+        lines[3] = b" ".join(lines[3].split(b" ", 3)[:3] + [_DEEP.encode("ascii")])
+        ledger.write_bytes(b"\n".join(lines))
+    elif target == "table":
+        lines = table.read_bytes().split(b"\n")
+        lines[2] = _DEEP.encode("ascii")
+        table.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    ("argv", "target", "code", "message"),
+    [
+        (["append", "--table", "{table}"], None, 2, "invalid update JSON"),
+        (["verify"], "ledger", 1, "CORRUPT_RECORD (line 4)"),
+        (["status"], "ledger", 3, "CORRUPT_RECORD (line 4)"),
+        (["verify", "--table", "{table}"], "table", 3, "CORRUPT_RECORD (line 3)"),
+    ],
+    ids=["append", "verify", "status", "verify-table"],
+)
+def test_deep_nesting_is_refused_without_a_traceback(paths, argv, target, code, message):
+    ledger, table = _init_and_fill(paths)
+    _store_deep_nesting(ledger, table, target)
+    before = ledger.read_bytes(), table.read_bytes()
+    argv = [argv[0], "--ledger", ledger, *(table if a == "{table}" else a for a in argv[1:])]
+    got, _, err = invoke_cli(argv, _DEEP)
+    assert got == code and message in err and "Traceback" not in err
+    assert (ledger.read_bytes(), table.read_bytes()) == before
+
+
+def test_non_utf8_input_file_is_invalid_json(paths, tmp_path):
+    ledger, table = _init_and_fill(paths)
+    before = ledger.read_bytes(), table.read_bytes()
+    batch = tmp_path / "batch.json"
+    batch.write_bytes(b"\xff[]")
+    code, _, err = invoke_cli(["append", "--ledger", ledger, "--table", table, "--input", batch])
+    assert code == 2 and "invalid update JSON" in err
+    assert (ledger.read_bytes(), table.read_bytes()) == before

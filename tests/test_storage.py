@@ -16,11 +16,10 @@ from chaintable import (
     UpdateRecord,
     append_batch,
     load_ledger,
-    read_ledger_header,
     verify_chain,
 )
 from chaintable.chain import compute_hash
-from chaintable.storage import parse_record_line, render_record
+from chaintable.storage import parse_record_line, read_ledger_header, render_record
 from conftest import WORKED_BATCHES, build_worked_ledger, random_batch
 
 

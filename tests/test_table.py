@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 
 from chaintable import (
     DataTable,
-    DuplicateKeyError,
     StorageViolation,
     StorageViolationKind,
     UpdateRecord,
-    actual_view,
-    import_history,
     read_data_file,
     replay_rows,
     write_data_file,
@@ -21,20 +18,20 @@ from conftest import WORKED_HISTORY, WORKED_VIEW
 
 
 def test_actual_view_of_worked_history():
-    view = actual_view(DataTable("Events", WORKED_HISTORY))
+    view = replay_rows(DataTable("Events", WORKED_HISTORY).rows)
     assert [(e.opid, e.timestamp, e.description) for e in view.entries] == list(WORKED_VIEW)
 
 
 def test_actual_view_of_empty_table():
-    assert actual_view(DataTable("Events")).entries == ()
+    assert replay_rows(DataTable("Events").rows).entries == ()
 
 
 def test_history_ending_in_deletion_flags_tombstone():
     rows = WORKED_HISTORY + (UpdateRecord(3, "t5", None),)
     view = replay_rows(rows)
     entries = {e.opid: e for e in view.entries}
-    assert entries[3].deleted
-    assert not entries[1].deleted and not entries[2].deleted
+    assert entries[3].is_deletion
+    assert not entries[1].is_deletion and not entries[2].is_deletion
 
 
 def test_append_order_wins_not_timestamp_text():
@@ -42,19 +39,6 @@ def test_append_order_wins_not_timestamp_text():
     rows = (UpdateRecord(1, "t9", "old"), UpdateRecord(1, "t10", "new"))
     (entry,) = replay_rows(rows).entries
     assert (entry.timestamp, entry.description) == ("t10", "new")
-
-
-def test_import_history_preserves_order():
-    table = import_history(WORKED_HISTORY, name="Events")
-    assert table.rows == WORKED_HISTORY
-    assert import_history(()).rows == ()
-
-
-def test_import_history_reports_duplicate_positions():
-    rows = (UpdateRecord(1, "t1", "a"), UpdateRecord(1, "t1", "b"))
-    with pytest.raises(DuplicateKeyError) as excinfo:
-        import_history(rows)
-    assert excinfo.value.positions == ((1, 2),)
 
 
 def test_data_file_round_trip(tmp_path):
@@ -119,6 +103,17 @@ def test_write_data_file_is_atomic_replacement(tmp_path):
     _, rows = read_data_file(path)
     assert tuple(rows) == WORKED_HISTORY[:1]
     assert not path.with_name(path.name + ".tmp").exists()
+
+
+
+def test_write_data_file_removes_its_temp_file_on_failure(tmp_path):
+    path = tmp_path / "t.ctd"
+    write_data_file(path, "Events", WORKED_HISTORY)
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):
+        write_data_file(path, "Events", [WORKED_HISTORY[0], object()])
+    assert sorted(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
 
 
 _text = st.text(
