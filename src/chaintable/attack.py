@@ -17,7 +17,7 @@ from .chain import ChainRecord, Ledger, VerificationReport, compute_hash, verify
 from .encoding import UpdateBatch, UpdateRecord
 from .errors import InvalidLedgerError, LidOutOfRangeError, StorageViolation
 from .storage import ledger_header_line, load_ledger, render_record
-from .table import DataTable
+from .table import DataTable, write_durably
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,7 @@ def _read_ledger(path: str | os.PathLike[str]) -> Ledger:
 def overwrite_ledger(path: str | os.PathLike[str], ledger: Ledger) -> None:
     """Replace the file's bytes with ledger's rendering, outside the write guards."""
     lines = [ledger_header_line(ledger.name), *map(render_record, ledger.records)]
-    payload = "".join(line + "\n" for line in lines).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.flush()
-        os.fsync(fh.fileno())
+    write_durably(path, [(line + "\n").encode("utf-8") for line in lines], "wb")
 
 
 def forge(

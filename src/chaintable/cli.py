@@ -35,7 +35,7 @@ from .errors import (
 )
 from .storage import load_ledger
 from .store import ChainTableStore
-from .table import read_data_file, write_data_file
+from .table import read_data_file, render_data_file, replace_data_file
 
 EXIT_OK = 0
 EXIT_INTEGRITY = 1
@@ -142,22 +142,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_INTEGRITY
 
     if args.table is not None:
-        table_name, rows = read_data_file(args.table)
-        if table_name != ledger.name:
-            raise StoreMismatchError(
-                f"ledger is for table '{ledger.name}' but data file is '{table_name}'"
-            )
-        consistency = compare_rows(history.rows, rows)
+        # Only a data file that differs from the ledger's rendering is decoded.
+        rows, divergences = history.rows, ()
+        if Path(args.table).read_bytes() != render_data_file(ledger):
+            table_name, rows = read_data_file(args.table)
+            if table_name != ledger.name:
+                raise StoreMismatchError(
+                    f"ledger is for table '{ledger.name}' but data file is '{table_name}'"
+                )
+            divergences = compare_rows(history.rows, rows).divergences
         payload["table"] = {
-            "consistent": consistency.consistent,
+            "consistent": not divergences,
             "rows": len(rows),
-            "divergences": [_divergence_payload(d) for d in consistency.divergences],
+            "divergences": [_divergence_payload(d) for d in divergences],
         }
-        if consistency.consistent:
+        if not divergences:
             lines.append(f"table: consistent ({len(rows)} rows)")
         else:
             lines.append("table: DIVERGENT")
-            lines.extend(_divergence_line(d) for d in consistency.divergences)
+            lines.extend(_divergence_line(d) for d in divergences)
             _emit(args, payload, lines)
             return EXIT_INTEGRITY
 
@@ -174,7 +177,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     ledger = load_ledger(args.ledger)
     table = reconstruct(ledger)
     _refuse_out_on_ledger(args)
-    write_data_file(args.out, ledger.name, table.rows)
+    replace_data_file(args.out, [render_data_file(ledger)])
     _emit(
         args,
         {"rows": len(table), "out": str(args.out), "name": ledger.name},

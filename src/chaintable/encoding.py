@@ -145,6 +145,14 @@ def canonical_encode_update(batch: UpdateBatch) -> bytes:
     return batch._encoded
 
 
+def render_rows(batches: Iterable[UpdateBatch]) -> bytes:
+    """Data-file lines of batches, from their kept bytes: the outer [ ] dropped
+    and a line break at every },{"opid": -- only a record boundary can hold
+    that, as a " inside a JSON string is always escaped."""
+    boundary, line_break = b'},{"opid":', b'}\n{"opid":'
+    return b"".join(batch._encoded[1:-1].replace(boundary, line_break) + b"\n" for batch in batches)
+
+
 def _record_from_obj(obj: Any) -> UpdateRecord:
     if not isinstance(obj, dict):
         raise MalformedBatchError(f"record must be a JSON object, got {type(obj).__name__}")

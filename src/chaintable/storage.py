@@ -32,7 +32,7 @@ from .errors import (
     StorageViolation,
     StorageViolationKind,
 )
-from .table import check_table_name, is_table_name
+from .table import check_table_name, create_file, is_table_name
 
 LEDGER_MAGIC = "CHAINTABLE-LEDGER"
 LEDGER_VERSION = "v1"
@@ -175,11 +175,7 @@ class LedgerFile:
     def create(cls, path: str | os.PathLike[str], table_name: str) -> "LedgerFile":
         """Create a fresh ledger file (header only), durable before return."""
         check_table_name(table_name)
-        path = Path(path)
-        with open(path, "xb") as fh:
-            fh.write((ledger_header_line(table_name) + "\n").encode("utf-8"))
-            fh.flush()
-            os.fsync(fh.fileno())
+        create_file(path, (ledger_header_line(table_name) + "\n").encode("utf-8"))
         return cls.open(path)
 
     @classmethod
@@ -269,18 +265,3 @@ class LedgerFile:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-
-__all__ = [
-    "ABSENT_PREV",
-    "LEDGER_MAGIC",
-    "LEDGER_VERSION",
-    "LedgerFile",
-    "ledger_header_line",
-    "load_ledger",
-    "parse_ledger_header",
-    "parse_record_line",
-    "read_ledger_header",
-    "render_record",
-]

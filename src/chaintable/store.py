@@ -2,9 +2,10 @@
 
 The ledger is the source of truth. Writes go ledger-first, data file second;
 if the process dies between the two, open() finds the data file to be a
-proper prefix of the ledger's row history and replays the missing suffix
-before accepting new writes. The two paths are independent so the ledger can
-live on separate, better-guarded storage than the table it protects.
+byte prefix of the file the ledger renders (a torn row included) and appends
+the missing bytes before accepting new writes. The two paths are independent
+so the ledger can live on separate, better-guarded storage than the table it
+protects.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 from pathlib import Path
 
 from .chain import ChainRecord, Ledger, append_batch, reconstruct
-from .encoding import UpdateBatch
+from .encoding import UpdateBatch, render_rows
 from .errors import (
     DuplicateKeyError,
     StorageFailureError,
@@ -26,6 +27,7 @@ from .table import (
     append_data_rows,
     create_data_file,
     read_data_file,
+    render_data_file,
 )
 
 
@@ -77,10 +79,10 @@ class ChainTableStore:
         The ledger is read and parsed once, by LedgerFile.open, and verified
         once, by reconstruct; an invalid chain raises InvalidLedgerError.
 
-        A data file that is a proper prefix of the ledger history (the mark
-        of an interrupted coupled write) is completed by appending the
-        missing rows. Anything else that diverges refuses to open; run the
-        verification commands instead of appending to a tampered store.
+        A data file holding its header line and a byte prefix of the file the
+        ledger renders (an interrupted coupled write, torn mid-row or not) is
+        completed with the missing bytes. Anything else refuses to open; run
+        the verification commands instead of appending to a tampered store.
         """
         table_path = Path(table_path)
         ledger_file = LedgerFile.open(ledger_path, repair=repair)
@@ -88,25 +90,25 @@ class ChainTableStore:
             # A working copy: append_batch grows it before the file commits.
             ledger = ledger_file.ledger.copy()
             history = reconstruct(ledger).rows
-            table_name, rows = read_data_file(table_path)
-            if table_name != ledger_file.name:
-                raise StoreMismatchError(
-                    f"data file is for table {table_name!r} but ledger is for "
-                    f"{ledger_file.name!r}"
-                )
-            if tuple(rows) != history[: len(rows)] or len(rows) > len(history):
+            expected = render_data_file(ledger)
+            found = table_path.read_bytes()
+            if len(found) <= expected.index(b"\n") or not expected.startswith(found):
+                table_name, _ = read_data_file(table_path)
+                if table_name != ledger_file.name:
+                    raise StoreMismatchError(
+                        f"data file is for table {table_name!r} but ledger is for "
+                        f"{ledger_file.name!r}"
+                    )
                 raise StoreInconsistentError(
                     "data file content is not a prefix of the ledger history; "
                     "verify and reconstruct instead of appending"
                 )
-            if len(rows) < len(history):
-                append_data_rows(table_path, history[len(rows) :])
-                rows = list(history)
+            if len(found) < len(expected):
+                append_data_rows(table_path, expected[len(found) :])
         except Exception:
             ledger_file.close()
             raise
-        table = DataTable(name=table_name, rows=tuple(rows))
-        return cls(ledger_file, ledger, table, table_path)
+        return cls(ledger_file, ledger, DataTable(ledger_file.name, history), table_path)
 
     @property
     def ledger(self) -> Ledger:
@@ -138,7 +140,7 @@ class ChainTableStore:
             self._ledger.records.pop()  # nothing durable happened
             raise
         try:
-            append_data_rows(self._table_path, batch.records)
+            append_data_rows(self._table_path, render_rows([batch]))
         except Exception as exc:
             self._broken = True
             raise StorageFailureError(

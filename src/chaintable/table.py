@@ -4,18 +4,22 @@ A DataTable holds the full row history (every insert, update, and delete is
 an appended row); ActualView is its latest-per-opid projection, where a row
 whose description is null is a tombstone. The data file is one header line
 ``CHAINTABLE-DATA v1 <name>`` followed by one canonical record object per
-line.
+line: a function of the ledger, which render_data_file renders byte for byte.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .encoding import _CONTROL, UpdateRecord, decode_line, decode_record, encode_record
+from .encoding import _CONTROL, UpdateRecord, decode_line, decode_record, encode_record, render_rows
 from .errors import MalformedBatchError, StorageViolation, StorageViolationKind
+
+if TYPE_CHECKING:
+    from .chain import Ledger
 
 DATA_MAGIC = "CHAINTABLE-DATA"
 DATA_VERSION = "v1"
@@ -62,8 +66,8 @@ def replay_rows(rows: Iterable[UpdateRecord]) -> ActualView:
 # --- data file format ---------------------------------------------------
 
 
-def _data_header_line(name: str) -> str:
-    return f"{DATA_MAGIC} {DATA_VERSION} {name}"
+def _data_header(name: str) -> bytes:
+    return f"{DATA_MAGIC} {DATA_VERSION} {name}\n".encode("utf-8")
 
 
 def is_table_name(name: str) -> bool:
@@ -88,30 +92,50 @@ def parse_data_header(line: str) -> str:
     return line[len(prefix) :]
 
 
+def render_data_file(ledger: Ledger) -> bytes:
+    """The whole data file that a ledger read from disk determines."""
+    return _data_header(ledger.name) + render_rows(r.update for r in ledger.records)
+
+
+def write_durably(file: str | os.PathLike[str] | int, chunks: Iterable[bytes], mode: str) -> None:
+    """Write chunks to file (a path or a descriptor), on stable storage before return."""
+    with open(file, mode) as fh:
+        fh.writelines(chunks)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def create_file(path: str | os.PathLike[str], data: bytes) -> None:
+    """Create path holding data, its directory entry durable too; refuses to overwrite."""
+    write_durably(path, [data], "xb")
+    fsync_directory(Path(path))
+
+
+def fsync_directory(path: Path) -> None:
+    """Make a new or renamed directory entry for path durable."""
+    fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def create_data_file(path: str | os.PathLike[str], name: str) -> None:
     """Create an empty data file with its header; refuses to overwrite."""
     check_table_name(name)
-    path = Path(path)
-    with open(path, "x", encoding="utf-8") as fh:
-        fh.write(_data_header_line(name) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
+    create_file(path, _data_header(name))
 
 
-def append_data_rows(path: str | os.PathLike[str], rows: Iterable[UpdateRecord]) -> None:
-    """Append rows to an existing data file, durable before return."""
-    payload = "".join(encode_record(row) + "\n" for row in rows)
-    with open(path, "a", encoding="utf-8", newline="") as fh:
-        fh.write(payload)
-        fh.flush()
-        os.fsync(fh.fileno())
+def append_data_rows(path: str | os.PathLike[str], data: bytes) -> None:
+    """Append rendered rows (see render_rows) to a data file, durable before return."""
+    write_durably(path, [data], "ab")
 
 
 def read_data_file(path: str | os.PathLike[str]) -> tuple[str, list[UpdateRecord]]:
     """Read a data file; returns (table name, raw row history).
 
-    Key uniqueness is deliberately not enforced here so that tampered files
-    stay loadable for comparison.
+    A row that does not re-render byte for byte is CORRUPT_RECORD. Key
+    uniqueness is not enforced, so tampered files stay loadable for comparison.
     """
     raw = Path(path).read_bytes()
     if not raw or b"\n" not in raw:
@@ -123,8 +147,11 @@ def read_data_file(path: str | os.PathLike[str]) -> tuple[str, list[UpdateRecord
     name = parse_data_header(decode_line(lines[0], 1))
     rows: list[UpdateRecord] = []
     for lineno, line in enumerate(lines[1:], start=2):
+        text = decode_line(line, lineno)
         try:
-            rows.append(decode_record(decode_line(line, lineno)))
+            rows.append(decode_record(text))
+            if encode_record(rows[-1]) != text:
+                raise MalformedBatchError("row is not in canonical form")
         except MalformedBatchError as exc:
             raise StorageViolation(
                 StorageViolationKind.CORRUPT_RECORD, str(exc), line=lineno
@@ -138,24 +165,26 @@ def read_data_file(path: str | os.PathLike[str]) -> tuple[str, list[UpdateRecord
     return name, rows
 
 
-def write_data_file(path: str | os.PathLike[str], name: str, rows: Iterable[UpdateRecord]) -> None:
-    """Write a whole data file atomically (temp file + rename).
+def replace_data_file(path: str | os.PathLike[str], chunks: Iterable[bytes]) -> None:
+    """Write a whole data file atomically (temp file, rename, directory fsync).
 
     The temp file is created exclusively under a fresh name beside path, so a
     planted symlink or a stale temp file is never written through.
     """
-    check_table_name(name)
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_data_header_line(name) + "\n")
-            for row in rows:
-                fh.write(encode_record(row) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        write_durably(fd, chunks, "wb")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    fsync_directory(path)
+
+
+def write_data_file(path: str | os.PathLike[str], name: str, rows: Iterable[UpdateRecord]) -> None:
+    """Write a data file holding rows, atomically (see replace_data_file)."""
+    check_table_name(name)
+    lines = ((encode_record(row) + "\n").encode("utf-8") for row in rows)
+    replace_data_file(path, itertools.chain([_data_header(name)], lines))

@@ -262,6 +262,17 @@ def test_over_long_opid_in_data_file_is_a_corrupt_record(paths, command):
     assert got == 3 and "CORRUPT_RECORD (line 3)" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "append"])
+def test_non_canonical_data_row_is_a_corrupt_record(paths, command):
+    ledger, table = _init_and_fill(paths)
+    table.write_bytes(table.read_bytes().replace(b'{"opid":2,', b'{"opid": 2,'))
+    before = ledger.read_bytes(), table.read_bytes()
+    fresh = '[{"opid":4,"timestamp":"t9","description":"x"}]'
+    got, _, err = invoke_cli([command, "--ledger", ledger, "--table", table], fresh)
+    assert got == 3 and "CORRUPT_RECORD (line 3)" in err
+    assert (ledger.read_bytes(), table.read_bytes()) == before
+
+
 def test_over_long_opid_in_operator_batch_is_invalid_json(paths):
     ledger, table = _init_and_fill(paths)
     before = ledger.read_bytes()

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chaintable import (
@@ -17,7 +17,7 @@ from chaintable import (
     decode_update,
     parse_batch_input,
 )
-from chaintable.encoding import _CONTROL, decode_record, encode_record
+from chaintable.encoding import _CONTROL, decode_record, encode_record, render_rows
 
 
 def test_single_record_encoding_is_exact():
@@ -216,3 +216,29 @@ def test_canonical_encoding_matches_per_record_join_reference(records):
     batch = UpdateBatch(records)
     assert canonical_encode_update(batch) == _per_record_join_reference(batch)
     assert decode_update(canonical_encode_update(batch)) == batch
+
+
+def _with_boundaries(text):
+    """Text that may hold a record boundary's bytes, which must not split a row."""
+    return st.tuples(text, st.sampled_from(["", '},{"opid":']), text).map("".join)
+
+
+_row_records = st.builds(
+    UpdateRecord,
+    opid=st.one_of(st.integers(1, 2**64), st.integers(10**300, 10**301)),
+    timestamp=_with_boundaries(_wide_text(exclude=("Cs", "Cc"))).filter(bool),
+    description=st.one_of(st.none(), _with_boundaries(_wide_text(_controls))),
+)
+
+
+@given(
+    st.lists(
+        st.lists(_row_records, min_size=1, max_size=3, unique_by=lambda r: r.key), max_size=3
+    )
+)
+@example([[UpdateRecord(1, '"},{"opid":2,', '},{"opid":3,"timestamp":"t","description":null}')]])
+@example([[UpdateRecord(1, "t\u2028", "\\"), UpdateRecord(2, "t\U0001f600", "\x85\u2029")]])
+def test_rendered_rows_equal_the_per_row_encode_join(batches):
+    batches = [UpdateBatch(records) for records in batches]
+    expected = "".join(encode_record(r) + "\n" for batch in batches for r in batch)
+    assert render_rows(batches) == expected.encode("utf-8")

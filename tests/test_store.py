@@ -10,6 +10,8 @@ from chaintable import (
     DuplicateKeyError,
     InvalidLedgerError,
     StorageFailureError,
+    StorageViolation,
+    StorageViolationKind,
     StoreInconsistentError,
     StoreMismatchError,
     UpdateBatch,
@@ -19,7 +21,8 @@ from chaintable import (
     reconstruct,
     verify_against_table,
 )
-from conftest import WORKED_BATCHES, WORKED_HISTORY, random_op_sequence
+from chaintable.encoding import render_rows
+from conftest import WORKED_BATCHES, WORKED_HISTORY, invoke_cli, random_op_sequence
 
 
 def _paths(tmp_path):
@@ -102,6 +105,40 @@ def test_open_replays_missing_table_suffix(tmp_path):
         assert store.table.rows == WORKED_HISTORY
     _, rows = read_data_file(table_path)
     assert tuple(rows) == WORKED_HISTORY
+
+
+def test_open_completes_a_data_file_torn_at_any_byte_of_the_last_write(tmp_path):
+    ledger_path, table_path = _create_worked(tmp_path)
+    rebuilt = tmp_path / "rebuilt.ctd"
+    assert invoke_cli(["reconstruct", "--ledger", ledger_path, "--out", rebuilt])[0] == 0
+    whole = table_path.read_bytes()
+    last_write = len(render_rows(WORKED_BATCHES[-1:]))
+    for cut in range(len(whole) - last_write, len(whole) + 1):
+        table_path.write_bytes(whole[:cut])
+        with ChainTableStore.open(ledger_path, table_path) as store:
+            assert store.table.rows == WORKED_HISTORY
+        assert table_path.read_bytes() == rebuilt.read_bytes(), cut
+        code, _, err = invoke_cli(["verify", "--ledger", ledger_path, "--table", table_path])
+        assert code == 0, (cut, err)
+
+
+def test_cli_append_completes_a_torn_data_file_first(tmp_path):
+    ledger_path, table_path = _create_worked(tmp_path)
+    table_path.write_bytes(table_path.read_bytes()[:-7])
+    batch = '[{"opid":4,"timestamp":"t9","description":"x"}]'
+    code, _, err = invoke_cli(["append", "--ledger", ledger_path, "--table", table_path], batch)
+    assert code == 0, err
+    _, rows = read_data_file(table_path)
+    assert tuple(rows) == WORKED_HISTORY + (UpdateRecord(4, "t9", "x"),)
+
+
+def test_open_refuses_non_canonical_row(tmp_path):
+    ledger_path, table_path = _create_worked(tmp_path)
+    table_path.write_bytes(table_path.read_bytes().replace(b'{"opid":2,', b'{"opid": 2,'))
+    with pytest.raises(StorageViolation) as excinfo:
+        ChainTableStore.open(ledger_path, table_path)
+    assert excinfo.value.kind is StorageViolationKind.CORRUPT_RECORD
+    assert excinfo.value.line == 3
 
 
 def test_open_refuses_divergent_table(tmp_path):

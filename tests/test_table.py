@@ -1,10 +1,14 @@
 """Data table model, replay projection, and the data file format."""
 
+import os
+import stat
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaintable import (
+    ChainTableStore,
     DataTable,
     StorageViolation,
     StorageViolationKind,
@@ -13,8 +17,8 @@ from chaintable import (
     replay_rows,
     write_data_file,
 )
-from chaintable.table import append_data_rows, create_data_file
-from conftest import WORKED_HISTORY, WORKED_VIEW
+from chaintable.table import append_data_rows, create_data_file, render_rows
+from conftest import WORKED_BATCHES, WORKED_HISTORY, WORKED_VIEW, invoke_cli
 
 
 def test_actual_view_of_worked_history():
@@ -44,8 +48,8 @@ def test_append_order_wins_not_timestamp_text():
 def test_data_file_round_trip(tmp_path):
     path = tmp_path / "t.ctd"
     create_data_file(path, "Events")
-    append_data_rows(path, WORKED_HISTORY[:2])
-    append_data_rows(path, WORKED_HISTORY[2:])
+    append_data_rows(path, render_rows(WORKED_BATCHES[:2]))
+    append_data_rows(path, render_rows(WORKED_BATCHES[2:]))
     name, rows = read_data_file(path)
     assert name == "Events"
     assert tuple(rows) == WORKED_HISTORY
@@ -75,7 +79,7 @@ def test_read_data_file_rejects_bad_header(tmp_path):
 def test_read_data_file_rejects_partial_final_line(tmp_path):
     path = tmp_path / "t.ctd"
     create_data_file(path, "Events")
-    append_data_rows(path, WORKED_HISTORY[:1])
+    append_data_rows(path, render_rows(WORKED_BATCHES[:1]))
     with open(path, "ab") as fh:
         fh.write(b'{"opid":2,"time')
     with pytest.raises(StorageViolation) as excinfo:
@@ -114,6 +118,37 @@ def test_write_data_file_removes_its_temp_file_on_failure(tmp_path):
         write_data_file(path, "Events", [WORKED_HISTORY[0], object()])
     assert sorted(tmp_path.iterdir()) == [path]
     assert path.read_bytes() == before
+
+
+def test_new_and_replaced_files_fsync_their_directory(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        events.append(("dir" if stat.S_ISDIR(info.st_mode) else "file", info.st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", None))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    directory = ("dir", tmp_path.stat().st_ino)
+    ledger, table, out = tmp_path / "l.ctl", tmp_path / "t.ctd", tmp_path / "out.ctd"
+
+    ChainTableStore.create(ledger, table, "Events").close()
+    created = [("file", ledger.stat().st_ino), directory, ("file", table.stat().st_ino), directory]
+    assert events == created
+
+    for write, target in (
+        (lambda: write_data_file(table, "Events", WORKED_HISTORY), table),
+        (lambda: invoke_cli(["reconstruct", "--ledger", ledger, "--out", out]), out),
+    ):
+        events.clear()
+        write()
+        assert events == [("file", target.stat().st_ino), ("replace", None), directory]
 
 
 _text = st.text(

@@ -1,6 +1,6 @@
 """Exact work per CLI command on an n-record store: hashes computed, ledger
-lines parsed and batches encoded. Counts, not timings, so a redundant pass
-fails deterministically."""
+lines parsed, batches encoded and data-file rows decoded. Counts, not
+timings, so a redundant pass fails deterministically."""
 
 from collections import Counter
 
@@ -10,6 +10,7 @@ import chaintable.attack
 import chaintable.chain
 import chaintable.encoding
 import chaintable.storage
+import chaintable.table
 from chaintable import ChainTableStore, UpdateBatch, UpdateRecord
 from conftest import invoke_cli
 
@@ -25,8 +26,9 @@ def _store(tmp_path, n):
 
 
 def _counting(monkeypatch):
-    """Count compute_hash, parse_record_line and canonical batch encodes (the
-    one function that fills an UpdateBatch's kept bytes) from here on."""
+    """Count compute_hash, parse_record_line, canonical batch encodes (the
+    one function that fills an UpdateBatch's kept bytes) and data-file row
+    decodes from here on."""
     calls = Counter()
 
     def count(module, name):
@@ -42,6 +44,7 @@ def _counting(monkeypatch):
     count(chaintable.attack, "compute_hash")
     count(chaintable.storage, "parse_record_line")
     count(chaintable.encoding, "_encode_records")
+    count(chaintable.table, "decode_record")
     return calls
 
 
@@ -104,3 +107,24 @@ def test_tamper_scenario_two_parses_once_and_hashes_twice(tmp_path, monkeypatch,
     ledger, _ = _store(tmp_path, n)
     argv = ["tamper", "--ledger", ledger, "--scenario", "2", "--set", "x"]
     assert _counted(monkeypatch, argv) == (2, n, n + 2)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_success_paths_decode_no_data_file_row(tmp_path, monkeypatch, n):
+    ledger, table = _store(tmp_path, n)
+    calls = _counting(monkeypatch)
+    assert invoke_cli(["verify", "--ledger", ledger, "--table", table])[0] == 0
+    batch = '[{"opid":1,"timestamp":"new","description":"x"}]'
+    assert invoke_cli(["append", "--ledger", ledger, "--table", table], batch)[0] == 0
+    ChainTableStore.open(ledger, table).close()
+    table.write_bytes(table.read_bytes()[:-3])  # torn: open completes it from bytes
+    ChainTableStore.open(ledger, table).close()
+    assert calls["decode_record"] == 0
+
+
+def test_a_differing_data_file_is_decoded_to_report_how(tmp_path, monkeypatch):
+    ledger, table = _store(tmp_path, 30)
+    table.write_bytes(table.read_bytes().replace(b'"d30"', b'"xx"'))
+    calls = _counting(monkeypatch)
+    assert invoke_cli(["verify", "--ledger", ledger, "--table", table])[0] == 1
+    assert calls["decode_record"] == 30
