@@ -35,7 +35,7 @@ from .errors import (
 )
 from .storage import load_ledger
 from .store import ChainTableStore
-from .table import read_data_file, render_data_file, replace_data_file
+from .table import read_data_file, render_data_file, replace_file
 
 EXIT_OK = 0
 EXIT_INTEGRITY = 1
@@ -144,7 +144,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.table is not None:
         # Only a data file that differs from the ledger's rendering is decoded.
         rows, divergences = history.rows, ()
-        if Path(args.table).read_bytes() != render_data_file(ledger):
+        if Path(args.table).read_bytes() != b"".join(render_data_file(ledger)):
             table_name, rows = read_data_file(args.table)
             if table_name != ledger.name:
                 raise StoreMismatchError(
@@ -177,7 +177,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     ledger = load_ledger(args.ledger)
     table = reconstruct(ledger)
     _refuse_out_on_ledger(args)
-    replace_data_file(args.out, [render_data_file(ledger)])
+    replace_file(args.out, render_data_file(ledger))
     _emit(
         args,
         {"rows": len(table), "out": str(args.out), "name": ledger.name},
@@ -198,9 +198,6 @@ def cmd_materialize(args: argparse.Namespace) -> int:
         }
         for e in view.entries
     ]
-    if args.out is not None:
-        rendered = json.dumps(entries, separators=(",", ":"), ensure_ascii=False) + "\n"
-        Path(args.out).write_text(rendered, encoding="utf-8")
     lines = []
     for e in view.entries:
         if e.is_deletion:
@@ -208,6 +205,8 @@ def cmd_materialize(args: argparse.Namespace) -> int:
         else:
             lines.append(f"opid {e.opid}: timestamp={e.timestamp} description={e.description}")
     if args.out is not None:
+        rendered = json.dumps(entries, separators=(",", ":"), ensure_ascii=False) + "\n"
+        replace_file(args.out, [rendered.encode("utf-8")])
         lines.append(f"wrote {len(entries)} entries to {args.out}")
     _emit(args, {"view": entries, "out": None if args.out is None else str(args.out)}, lines)
     return EXIT_OK

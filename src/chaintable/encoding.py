@@ -145,12 +145,11 @@ def canonical_encode_update(batch: UpdateBatch) -> bytes:
     return batch._encoded
 
 
-def render_rows(batches: Iterable[UpdateBatch]) -> bytes:
-    """Data-file lines of batches, from their kept bytes: the outer [ ] dropped
+def render_batch(batch: UpdateBatch) -> bytes:
+    """Data-file lines of a batch, from its kept bytes: the outer [ ] dropped
     and a line break at every },{"opid": -- only a record boundary can hold
     that, as a " inside a JSON string is always escaped."""
-    boundary, line_break = b'},{"opid":', b'}\n{"opid":'
-    return b"".join(batch._encoded[1:-1].replace(boundary, line_break) + b"\n" for batch in batches)
+    return batch._encoded[1:-1].replace(b'},{"opid":', b'}\n{"opid":') + b"\n"
 
 
 def _record_from_obj(obj: Any) -> UpdateRecord:

@@ -1,11 +1,12 @@
 """Coupled durable store: one data file and one ledger file in lockstep.
 
-The ledger is the source of truth. Writes go ledger-first, data file second;
-if the process dies between the two, open() finds the data file to be a
-byte prefix of the file the ledger renders (a torn row included) and appends
-the missing bytes before accepting new writes. The two paths are independent
-so the ledger can live on separate, better-guarded storage than the table it
-protects.
+The ledger is the source of truth and the store's only history; beside it
+the store keeps just the set of (opid, timestamp) keys written. Writes go
+ledger-first, data file second; if the process dies between the two, open()
+finds the data file to be a byte prefix (even empty) of the file the ledger
+renders and appends the missing bytes before accepting new writes. The two
+paths are independent so the ledger can live on separate, better-guarded
+storage than the table it protects.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 from pathlib import Path
 
 from .chain import ChainRecord, Ledger, append_batch, reconstruct
-from .encoding import UpdateBatch, render_rows
+from .encoding import UpdateBatch, render_batch
 from .errors import (
     DuplicateKeyError,
     StorageFailureError,
@@ -22,13 +23,7 @@ from .errors import (
     StoreMismatchError,
 )
 from .storage import LedgerFile
-from .table import (
-    DataTable,
-    append_data_rows,
-    create_data_file,
-    read_data_file,
-    render_data_file,
-)
+from .table import DataTable, append_data_rows, create_data_file, read_data_file, render_data_file
 
 
 class ChainTableStore:
@@ -37,13 +32,13 @@ class ChainTableStore:
     def __init__(
         self,
         ledger_file: LedgerFile,
-        ledger: Ledger,
-        table: DataTable,
+        keys: set[tuple[int, str]],
         table_path: Path,
     ) -> None:
         self._ledger_file = ledger_file
-        self._ledger = ledger
-        self._table = table
+        # A working copy: append_batch grows it before the file commits.
+        self._ledger = ledger_file.ledger.copy()
+        self._keys = keys
         self._table_path = table_path
         self._broken = False
 
@@ -65,7 +60,7 @@ class ChainTableStore:
             ledger_file.close()
             ledger_path.unlink(missing_ok=True)
             raise
-        return cls(ledger_file, ledger_file.ledger.copy(), DataTable(name=name), table_path)
+        return cls(ledger_file, set(), table_path)
 
     @classmethod
     def open(
@@ -79,20 +74,18 @@ class ChainTableStore:
         The ledger is read and parsed once, by LedgerFile.open, and verified
         once, by reconstruct; an invalid chain raises InvalidLedgerError.
 
-        A data file holding its header line and a byte prefix of the file the
-        ledger renders (an interrupted coupled write, torn mid-row or not) is
+        A data file holding a byte prefix of the file the ledger renders (an
+        interrupted create or coupled write, torn anywhere, even empty) is
         completed with the missing bytes. Anything else refuses to open; run
         the verification commands instead of appending to a tampered store.
         """
         table_path = Path(table_path)
         ledger_file = LedgerFile.open(ledger_path, repair=repair)
         try:
-            # A working copy: append_batch grows it before the file commits.
-            ledger = ledger_file.ledger.copy()
-            history = reconstruct(ledger).rows
-            expected = render_data_file(ledger)
+            keys = {row.key for row in reconstruct(ledger_file.ledger).rows}
+            expected = b"".join(render_data_file(ledger_file.ledger))
             found = table_path.read_bytes()
-            if len(found) <= expected.index(b"\n") or not expected.startswith(found):
+            if not expected.startswith(found):
                 table_name, _ = read_data_file(table_path)
                 if table_name != ledger_file.name:
                     raise StoreMismatchError(
@@ -108,7 +101,7 @@ class ChainTableStore:
         except Exception:
             ledger_file.close()
             raise
-        return cls(ledger_file, ledger, DataTable(ledger_file.name, history), table_path)
+        return cls(ledger_file, keys, table_path)
 
     @property
     def ledger(self) -> Ledger:
@@ -116,7 +109,9 @@ class ChainTableStore:
 
     @property
     def table(self) -> DataTable:
-        return self._table
+        """The row history, derived from the ledger on each read."""
+        rows = tuple(row for record in self._ledger.records for row in record.update)
+        return DataTable(self.name, rows)
 
     @property
     def name(self) -> str:
@@ -129,8 +124,7 @@ class ChainTableStore:
                 "a previous append failed after the ledger committed; reopen "
                 "the store to reconcile before writing again"
             )
-        existing = self._table.keys()
-        clashes = [record.key for record in batch if record.key in existing]
+        clashes = [record.key for record in batch if record.key in self._keys]
         if clashes:
             raise DuplicateKeyError(f"(opid, timestamp) already present in table: {clashes}")
         record = append_batch(self._ledger, batch)
@@ -139,15 +133,15 @@ class ChainTableStore:
         except Exception:
             self._ledger.records.pop()  # nothing durable happened
             raise
+        self._keys.update(row.key for row in batch)
         try:
-            append_data_rows(self._table_path, render_rows([batch]))
+            append_data_rows(self._table_path, render_batch(batch))
         except Exception as exc:
             self._broken = True
             raise StorageFailureError(
                 f"ledger record {record.lid} committed but the data file write "
                 f"failed; reopening will replay it ({exc})"
             ) from exc
-        self._table = DataTable(name=self._table.name, rows=self._table.rows + batch.records)
         return record
 
     def close(self) -> None:

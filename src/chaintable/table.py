@@ -13,9 +13,9 @@ import itertools
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .encoding import _CONTROL, UpdateRecord, decode_line, decode_record, encode_record, render_rows
+from .encoding import _CONTROL, UpdateRecord, decode_line, decode_record, encode_record, render_batch
 from .errors import MalformedBatchError, StorageViolation, StorageViolationKind
 
 if TYPE_CHECKING:
@@ -92,9 +92,12 @@ def parse_data_header(line: str) -> str:
     return line[len(prefix) :]
 
 
-def render_data_file(ledger: Ledger) -> bytes:
-    """The whole data file that a ledger read from disk determines."""
-    return _data_header(ledger.name) + render_rows(r.update for r in ledger.records)
+def render_data_file(ledger: Ledger) -> Iterator[bytes]:
+    """The data file that a ledger read from disk determines, in chunks: the
+    header line, then one chunk per batch."""
+    yield _data_header(ledger.name)
+    for record in ledger.records:
+        yield render_batch(record.update)
 
 
 def write_durably(file: str | os.PathLike[str] | int, chunks: Iterable[bytes], mode: str) -> None:
@@ -127,7 +130,7 @@ def create_data_file(path: str | os.PathLike[str], name: str) -> None:
 
 
 def append_data_rows(path: str | os.PathLike[str], data: bytes) -> None:
-    """Append rendered rows (see render_rows) to a data file, durable before return."""
+    """Append rendered rows (see render_batch) to a data file, durable before return."""
     write_durably(path, [data], "ab")
 
 
@@ -165,8 +168,8 @@ def read_data_file(path: str | os.PathLike[str]) -> tuple[str, list[UpdateRecord
     return name, rows
 
 
-def replace_data_file(path: str | os.PathLike[str], chunks: Iterable[bytes]) -> None:
-    """Write a whole data file atomically (temp file, rename, directory fsync).
+def replace_file(path: str | os.PathLike[str], chunks: Iterable[bytes]) -> None:
+    """Write a whole file atomically (temp file, rename, directory fsync).
 
     The temp file is created exclusively under a fresh name beside path, so a
     planted symlink or a stale temp file is never written through.
@@ -184,7 +187,7 @@ def replace_data_file(path: str | os.PathLike[str], chunks: Iterable[bytes]) -> 
 
 
 def write_data_file(path: str | os.PathLike[str], name: str, rows: Iterable[UpdateRecord]) -> None:
-    """Write a data file holding rows, atomically (see replace_data_file)."""
+    """Write a data file holding rows, atomically (see replace_file)."""
     check_table_name(name)
     lines = ((encode_record(row) + "\n").encode("utf-8") for row in rows)
-    replace_data_file(path, itertools.chain([_data_header(name)], lines))
+    replace_file(path, itertools.chain([_data_header(name)], lines))

@@ -1,6 +1,12 @@
 """CLI workflows and exit-code contract (0 ok, 1 integrity, 2 usage, 3 I/O)."""
 
+import errno
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -380,3 +386,34 @@ def test_non_utf8_input_file_is_invalid_json(paths, tmp_path):
     code, _, err = invoke_cli(["append", "--ledger", ledger, "--table", table, "--input", batch])
     assert code == 2 and "invalid update JSON" in err
     assert (ledger.read_bytes(), table.read_bytes()) == before
+
+
+def _run_with_file_size_limit(argv, limit):
+    """Run the CLI in a child process whose writes to regular files stop at
+    limit bytes (RLIMIT_FSIZE, set for the child only); returns (exit code, stderr)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONDONTWRITEBYTECODE="1")
+    hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "chaintable", *map(str, argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard)),
+    )
+    return result.returncode, result.stderr
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "materialize"])
+def test_failed_out_write_leaves_the_previous_file_as_it_was(paths, tmp_path, command):
+    ledger, _ = _init_and_fill(paths)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out_path = out_dir / "previous"
+    out_path.write_bytes(b"previous contents\n")
+    code, err = _run_with_file_size_limit([command, "--ledger", ledger, "--out", out_path], 60)
+    assert code == 3 and f"[Errno {errno.EFBIG}]" in err, err
+    assert out_path.read_bytes() == b"previous contents\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["previous"]

@@ -17,7 +17,7 @@ from chaintable import (
     decode_update,
     parse_batch_input,
 )
-from chaintable.encoding import _CONTROL, decode_record, encode_record, render_rows
+from chaintable.encoding import _CONTROL, decode_record, encode_record, render_batch
 
 
 def test_single_record_encoding_is_exact():
@@ -241,4 +241,4 @@ _row_records = st.builds(
 def test_rendered_rows_equal_the_per_row_encode_join(batches):
     batches = [UpdateBatch(records) for records in batches]
     expected = "".join(encode_record(r) + "\n" for batch in batches for r in batch)
-    assert render_rows(batches) == expected.encode("utf-8")
+    assert b"".join(map(render_batch, batches)) == expected.encode("utf-8")

@@ -21,7 +21,7 @@ from chaintable import (
     reconstruct,
     verify_against_table,
 )
-from chaintable.encoding import render_rows
+from chaintable.encoding import render_batch
 from conftest import WORKED_BATCHES, WORKED_HISTORY, invoke_cli, random_op_sequence
 
 
@@ -107,19 +107,43 @@ def test_open_replays_missing_table_suffix(tmp_path):
     assert tuple(rows) == WORKED_HISTORY
 
 
-def test_open_completes_a_data_file_torn_at_any_byte_of_the_last_write(tmp_path):
+def _assert_open_completes_each_cut(tmp_path, cuts):
+    """Cut the worked store's data file at each byte count in cuts(whole
+    file); open must complete it to the ledger's rendering every time."""
     ledger_path, table_path = _create_worked(tmp_path)
     rebuilt = tmp_path / "rebuilt.ctd"
     assert invoke_cli(["reconstruct", "--ledger", ledger_path, "--out", rebuilt])[0] == 0
     whole = table_path.read_bytes()
-    last_write = len(render_rows(WORKED_BATCHES[-1:]))
-    for cut in range(len(whole) - last_write, len(whole) + 1):
+    for cut in cuts(whole):
         table_path.write_bytes(whole[:cut])
         with ChainTableStore.open(ledger_path, table_path) as store:
             assert store.table.rows == WORKED_HISTORY
         assert table_path.read_bytes() == rebuilt.read_bytes(), cut
         code, _, err = invoke_cli(["verify", "--ledger", ledger_path, "--table", table_path])
         assert code == 0, (cut, err)
+
+
+def test_open_completes_a_data_file_torn_at_any_byte_of_the_last_write(tmp_path):
+    last_write = len(render_batch(WORKED_BATCHES[-1]))
+    _assert_open_completes_each_cut(
+        tmp_path, lambda whole: range(len(whole) - last_write, len(whole) + 1)
+    )
+
+
+def test_open_completes_a_data_file_torn_inside_its_header(tmp_path):
+    header = len(b"CHAINTABLE-DATA v1 Events\n")
+    _assert_open_completes_each_cut(tmp_path, lambda whole: range(header + 1))
+
+
+def test_cli_append_completes_an_empty_data_file(tmp_path):
+    # What a crash inside create_data_file leaves: a ledger and a 0-byte data file.
+    ledger_path, table_path = _paths(tmp_path)
+    ChainTableStore.create(ledger_path, table_path, "Events").close()
+    table_path.write_bytes(b"")
+    batch = '[{"opid":1,"timestamp":"t1","description":"opt1"}]'
+    code, _, err = invoke_cli(["append", "--ledger", ledger_path, "--table", table_path], batch)
+    assert code == 0, err
+    assert read_data_file(table_path) == ("Events", [UpdateRecord(1, "t1", "opt1")])
 
 
 def test_cli_append_completes_a_torn_data_file_first(tmp_path):

@@ -11,7 +11,7 @@ import chaintable.chain
 import chaintable.encoding
 import chaintable.storage
 import chaintable.table
-from chaintable import ChainTableStore, UpdateBatch, UpdateRecord
+from chaintable import ChainTableStore, DataTable, UpdateBatch, UpdateRecord
 from conftest import invoke_cli
 
 SIZES = (0, 1, 30)
@@ -74,6 +74,29 @@ def test_in_session_append_encodes_only_the_new_batch(tmp_path, monkeypatch, n):
         store.append(UpdateBatch([UpdateRecord(1, "new", "x")]))
     # Hashes: the store still re-verifies its n records before sealing one.
     assert (calls["compute_hash"], calls["_encode_records"]) == (n + 1, 1)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_in_session_append_reads_only_the_new_batch_keys(tmp_path, monkeypatch, n):
+    ledger, table = _store(tmp_path, n)
+    calls = Counter()
+    key, keys = UpdateRecord.key, DataTable.keys
+
+    def counting_key(record):
+        calls["key"] += 1
+        return key.fget(record)
+
+    def counting_keys(self):
+        calls["keys"] += 1
+        return keys(self)
+
+    with ChainTableStore.open(ledger, table) as store:
+        batch = UpdateBatch([UpdateRecord(1, "new", "x")])
+        monkeypatch.setattr(UpdateRecord, "key", property(counting_key))
+        monkeypatch.setattr(DataTable, "keys", counting_keys)
+        store.append(batch)
+    # One read to check the new key against the history, one to record it.
+    assert (calls["keys"], calls["key"]) == (0, 2)
 
 
 @pytest.mark.parametrize("n", SIZES)
