@@ -8,11 +8,10 @@ table itself is append-only: inserts, updates, and deletions all become new
 rows, and the current state is a replay projection, never a mutation.
 """
 
-from .attack import AttackOutcome, assess_detection, measure_rewrite_cascade, tamper_ledger
+from .attack import measure_rewrite_cascade, tamper_ledger
 from .chain import (
     HASH_ALGORITHM,
     ChainRecord,
-    ConsistencyReport,
     Divergence,
     FailureKind,
     Ledger,
@@ -47,17 +46,14 @@ from .errors import (
 )
 from .storage import LedgerFile, load_ledger
 from .store import ChainTableStore
-from .table import ActualView, DataTable, read_data_file, replay_rows, write_data_file
+from .table import DataTable, read_data_file, replay_rows, write_data_file
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "ActualView",
-    "AttackOutcome",
     "ChainRecord",
     "ChainTableError",
     "ChainTableStore",
-    "ConsistencyReport",
     "DataTable",
     "Divergence",
     "DuplicateKeyError",
@@ -79,7 +75,6 @@ __all__ = [
     "UpdateRecord",
     "VerificationReport",
     "append_batch",
-    "assess_detection",
     "canonical_encode_update",
     "compute_hash",
     "decode_update",

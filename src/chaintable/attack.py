@@ -11,22 +11,13 @@ Never run them against a file a live writer holds open.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .chain import ChainRecord, Ledger, VerificationReport, compute_hash, verify_against_table
+from .chain import ChainRecord, Ledger, compute_hash
 from .encoding import UpdateBatch, UpdateRecord
-from .errors import InvalidLedgerError, LidOutOfRangeError, StorageViolation
+from .errors import LidOutOfRangeError, StorageViolation
 from .storage import ledger_header_line, load_ledger, render_record
-from .table import DataTable, write_durably
-
-
-@dataclass(frozen=True)
-class AttackOutcome:
-    """Which check caught a (possibly tampered) ledger/table pair, if any."""
-
-    detected_by_chain: bool
-    detected_by_table_check: bool
-    first_invalid_lid: int | None
+from .table import write_durably
 
 
 def _read_ledger(path: str | os.PathLike[str]) -> Ledger:
@@ -131,21 +122,3 @@ def measure_rewrite_cascade(ledger: Ledger, k: int) -> int:
         for old, new in zip(ledger.records, forged.records)
     )
 
-
-def assess_detection(ledger: Ledger, table: DataTable) -> AttackOutcome:
-    """Measure which check catches a (possibly tampered) ledger/table pair.
-
-    Pass the tampered side and the honest counterpart. The table comparison
-    only runs when the chain still verifies, mirroring the operator workflow;
-    the chain is verified once, inside verify_against_table.
-    """
-    try:
-        detected_by_table = not verify_against_table(ledger, table).consistent
-        report = VerificationReport(valid=True)
-    except InvalidLedgerError as exc:
-        detected_by_table, report = False, exc.report
-    return AttackOutcome(
-        detected_by_chain=not report.valid,
-        detected_by_table_check=detected_by_table,
-        first_invalid_lid=report.first_invalid_lid,
-    )

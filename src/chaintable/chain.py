@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .encoding import Hash, UpdateBatch, UpdateRecord, canonical_encode_update
 from .errors import InvalidLedgerError, MalformedBatchError
-from .table import ActualView, DataTable, replay_rows
+from .table import DataTable, replay_rows
 
 HASH_ALGORITHM = "double-sha256-v1"
 
@@ -91,12 +91,6 @@ class Divergence:
     opid: int | None
     expected: UpdateRecord | None  # what the ledger says; None = extra row in table
     found: UpdateRecord | None  # what the table holds; None = row missing
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    consistent: bool
-    divergences: tuple[Divergence, ...] = ()
 
 
 def compute_hash(lid: int, update: UpdateBatch, prev_hash: Hash | None) -> Hash:
@@ -174,8 +168,8 @@ def reconstruct(ledger: Ledger) -> DataTable:
     return DataTable(name="reconstructed", rows=tuple(rows))
 
 
-def materialize(ledger: Ledger) -> ActualView:
-    """Replay a valid ledger into the current per-opid state.
+def materialize(ledger: Ledger) -> tuple[UpdateRecord, ...]:
+    """Replay a valid ledger into the current per-opid state, in opid order.
 
     The last-replayed record per opid wins (lid order, then within-batch
     order); a null description stays visible as a tombstone.
@@ -185,11 +179,11 @@ def materialize(ledger: Ledger) -> ActualView:
 
 def compare_rows(
     expected_rows: Sequence[UpdateRecord], found_rows: Sequence[UpdateRecord]
-) -> ConsistencyReport:
+) -> tuple[Divergence, ...]:
     """Compare a ledger's row history against a table's rows, position by position.
 
     Every positional disagreement is reported, including rows missing from
-    the table and extra rows beyond the ledger history.
+    the table and extra rows beyond the ledger history; none means consistent.
     """
     divergences: list[Divergence] = []
     for index in range(max(len(expected_rows), len(found_rows))):
@@ -200,10 +194,10 @@ def compare_rows(
             divergences.append(
                 Divergence(position=index + 1, opid=opid, expected=expected, found=found)
             )
-    return ConsistencyReport(consistent=not divergences, divergences=tuple(divergences))
+    return tuple(divergences)
 
 
-def verify_against_table(ledger: Ledger, table: DataTable) -> ConsistencyReport:
+def verify_against_table(ledger: Ledger, table: DataTable) -> tuple[Divergence, ...]:
     """Verify the chain once (raising InvalidLedgerError if it is broken), then
     compare its reconstructed history against table with compare_rows."""
     return compare_rows(reconstruct(ledger).rows, table.rows)

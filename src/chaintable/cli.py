@@ -150,7 +150,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 raise StoreMismatchError(
                     f"ledger is for table '{ledger.name}' but data file is '{table_name}'"
                 )
-            divergences = compare_rows(history.rows, rows).divergences
+            divergences = compare_rows(history.rows, rows)
         payload["table"] = {
             "consistent": not divergences,
             "rows": len(rows),
@@ -196,10 +196,10 @@ def cmd_materialize(args: argparse.Namespace) -> int:
             "description": e.description,
             "deleted": e.is_deletion,
         }
-        for e in view.entries
+        for e in view
     ]
     lines = []
-    for e in view.entries:
+    for e in view:
         if e.is_deletion:
             lines.append(f"opid {e.opid}: deleted (tombstone at timestamp {e.timestamp})")
         else:

@@ -21,8 +21,8 @@ import fcntl
 import os
 import re
 from dataclasses import dataclass
+from io import FileIO
 from pathlib import Path
-from typing import BinaryIO
 
 from .chain import HASH_ALGORITHM, ChainRecord, Ledger
 from .encoding import Hash, canonical_encode_update, decode_line, decode_update
@@ -156,20 +156,8 @@ class LedgerFile:
 
     path: Path
     ledger: Ledger
-    _fh: BinaryIO
+    _fh: FileIO
     _size: int
-
-    @property
-    def name(self) -> str:
-        return self.ledger.name  # type: ignore[return-value]
-
-    @property
-    def record_count(self) -> int:
-        return len(self.ledger)
-
-    @property
-    def tip_hash(self) -> Hash | None:
-        return self.ledger.tip_hash
 
     @classmethod
     def create(cls, path: str | os.PathLike[str], table_name: str) -> "LedgerFile":
@@ -189,7 +177,8 @@ class LedgerFile:
         if not path.exists():
             # "ab" would quietly create an empty file here.
             raise FileNotFoundError(f"no ledger file at {path}")
-        fh = open(path, "ab")
+        # Unbuffered: a failed write must leave no bytes queued for close().
+        fh = open(path, "ab", buffering=0)
         try:
             try:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -225,16 +214,17 @@ class LedgerFile:
             )
         if not isinstance(record, ChainRecord):
             raise TypeError(f"expected a ChainRecord, got {type(record).__name__}")
-        expected_lid = self.record_count + 1
+        expected_lid = len(self.ledger) + 1
         if record.lid != expected_lid:
             raise StorageViolation(
                 StorageViolationKind.LID_GAP,
                 f"record lid {record.lid} but next appendable lid is {expected_lid}",
             )
-        if record.prev_hash != self.tip_hash:
+        tip = self.ledger.tip_hash
+        if record.prev_hash != tip:
             raise StorageViolation(
                 StorageViolationKind.PREV_HASH_MISMATCH,
-                f"record prevHash {record.prev_hash} does not match stored tip {self.tip_hash}",
+                f"record prevHash {record.prev_hash} does not match stored tip {tip}",
             )
         if os.fstat(self._fh.fileno()).st_size != self._size:
             raise StorageViolation(
@@ -243,8 +233,9 @@ class LedgerFile:
             )
         payload = (render_record(record) + "\n").encode("utf-8")
         try:
-            self._fh.write(payload)
-            self._fh.flush()
+            rest = memoryview(payload)
+            while rest:  # a short write is retried; the next one raises if it must
+                rest = rest[self._fh.write(rest) :]
             os.fsync(self._fh.fileno())
         except OSError:
             # Leave no partial line behind if the device allows it.

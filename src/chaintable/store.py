@@ -87,10 +87,10 @@ class ChainTableStore:
             found = table_path.read_bytes()
             if not expected.startswith(found):
                 table_name, _ = read_data_file(table_path)
-                if table_name != ledger_file.name:
+                if table_name != ledger_file.ledger.name:
                     raise StoreMismatchError(
                         f"data file is for table {table_name!r} but ledger is for "
-                        f"{ledger_file.name!r}"
+                        f"{ledger_file.ledger.name!r}"
                     )
                 raise StoreInconsistentError(
                     "data file content is not a prefix of the ledger history; "
@@ -115,7 +115,7 @@ class ChainTableStore:
 
     @property
     def name(self) -> str:
-        return self._ledger_file.name
+        return self._ledger.name  # type: ignore[return-value]
 
     def append(self, batch: UpdateBatch) -> ChainRecord:
         """Durably apply one batch to ledger then table; returns the record."""

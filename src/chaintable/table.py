@@ -1,8 +1,8 @@
 """Append-only data table model and its on-disk rendering.
 
 A DataTable holds the full row history (every insert, update, and delete is
-an appended row); ActualView is its latest-per-opid projection, where a row
-whose description is null is a tombstone. The data file is one header line
+an appended row); replay_rows projects it to the latest row per opid, where
+a row whose description is null is a tombstone. The data file is one header line
 ``CHAINTABLE-DATA v1 <name>`` followed by one canonical record object per
 line: a function of the ledger, which render_data_file renders byte for byte.
 """
@@ -44,23 +44,13 @@ class DataTable:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class ActualView:
-    """Latest-per-opid projection of a row history, ordered by opid: each
-    entry is the row that last wrote its opid (is_deletion marks a tombstone)."""
-
-    entries: tuple[UpdateRecord, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def replay_rows(rows: Iterable[UpdateRecord]) -> ActualView:
-    """Replay rows in order; the last row per opid defines its state."""
+def replay_rows(rows: Iterable[UpdateRecord]) -> tuple[UpdateRecord, ...]:
+    """Replay rows in order; the last row per opid defines its state. Returns
+    those rows in opid order (is_deletion marks a tombstone)."""
     latest: dict[int, UpdateRecord] = {}
     for row in rows:
         latest[row.opid] = row
-    return ActualView(tuple(latest[opid] for opid in sorted(latest)))
+    return tuple(latest[opid] for opid in sorted(latest))
 
 
 # --- data file format ---------------------------------------------------

@@ -12,7 +12,6 @@ from random import Random
 import pytest
 
 from chaintable import (
-    ActualView,
     ChainTableStore,
     Ledger,
     UpdateBatch,
@@ -63,7 +62,7 @@ def build_worked_ledger() -> Ledger:
     return ledger
 
 
-def replay_ledger(ledger: Ledger) -> ActualView:
+def replay_ledger(ledger: Ledger) -> tuple[UpdateRecord, ...]:
     """Oracle for materialize: replay the chain records directly, without
     reconstruct or replay_rows, so the two routes can be checked against each
     other. The last-replayed record per opid wins (lid order, then
@@ -72,7 +71,7 @@ def replay_ledger(ledger: Ledger) -> ActualView:
     for record in ledger.records:
         for update in record.update:
             latest[update.opid] = update
-    return ActualView(tuple(latest[opid] for opid in sorted(latest)))
+    return tuple(latest[opid] for opid in sorted(latest))
 
 
 @pytest.fixture

@@ -7,9 +7,9 @@ import pytest
 from chaintable import (
     DataTable,
     FailureKind,
+    InvalidLedgerError,
     LidOutOfRangeError,
     UpdateRecord,
-    assess_detection,
     load_ledger,
     measure_rewrite_cascade,
     reconstruct,
@@ -73,9 +73,9 @@ def test_full_rehash_passes_chain_but_fails_table_check(worked_file):
     tampered = load_ledger(worked_file)
     assert verify_chain(tampered).valid
     honest = DataTable("Events", WORKED_HISTORY)
-    report = verify_against_table(tampered, honest)
-    assert not report.consistent
-    assert report.divergences[0].opid == 2
+    divergences = verify_against_table(tampered, honest)
+    assert divergences
+    assert divergences[0].opid == 2
 
 
 def test_last_record_rehash_matches_golden_forged_hash(worked_file, golden):
@@ -85,8 +85,7 @@ def test_last_record_rehash_matches_golden_forged_hash(worked_file, golden):
     assert tampered.records[2].hash.hex == golden_digest(
         golden, "worked-example-lid-3-tampered-opt6"
     )
-    report = verify_against_table(tampered, DataTable("Events", WORKED_HISTORY))
-    (div,) = report.divergences
+    (div,) = verify_against_table(tampered, DataTable("Events", WORKED_HISTORY))
     assert div.position == 4 and div.found.description == "opt4"
 
 
@@ -141,27 +140,25 @@ def test_assess_detection_outcomes(worked_file):
     honest_table = DataTable("Events", WORKED_HISTORY)
 
     tamper_ledger(worked_file, 2, 1, "opt5")
-    outcome = assess_detection(load_ledger(worked_file), honest_table)
-    assert outcome.detected_by_chain and not outcome.detected_by_table_check
-    assert outcome.first_invalid_lid == 2
+    # The chain catches the edit, so the table comparison never runs.
+    with pytest.raises(InvalidLedgerError) as excinfo:
+        verify_against_table(load_ledger(worked_file), honest_table)
+    assert not excinfo.value.report.valid
+    assert excinfo.value.report.first_invalid_lid == 2
 
 
 def test_assess_detection_for_full_rehash(worked_file):
     honest_table = DataTable("Events", WORKED_HISTORY)
     tamper_ledger(worked_file, 3, 1, "opt6", rewrite_through=3)
-    outcome = assess_detection(load_ledger(worked_file), honest_table)
-    assert not outcome.detected_by_chain
-    assert outcome.detected_by_table_check
-    assert outcome.first_invalid_lid is None
+    # The chain verifies (no InvalidLedgerError); only the table check sees it.
+    assert verify_against_table(load_ledger(worked_file), honest_table)
 
 
 def test_assess_detection_for_table_only_tamper():
     ledger = build_worked_ledger()
     rows = list(WORKED_HISTORY)
     rows[1] = UpdateRecord(2, "t2", "opt5")
-    outcome = assess_detection(ledger, DataTable("Events", tuple(rows)))
-    assert not outcome.detected_by_chain
-    assert outcome.detected_by_table_check
+    assert verify_against_table(ledger, DataTable("Events", tuple(rows)))
 
 
 def test_tamper_refuses_partial_file(worked_file):

@@ -145,19 +145,19 @@ def test_reconstruct_refuses_invalid_ledger():
 
 def test_materialize_worked_view():
     view = materialize(build_worked_ledger())
-    assert [(e.opid, e.timestamp, e.description) for e in view.entries] == list(WORKED_VIEW)
-    assert not any(e.is_deletion for e in view.entries)
+    assert [(e.opid, e.timestamp, e.description) for e in view] == list(WORKED_VIEW)
+    assert not any(e.is_deletion for e in view)
 
 
 def test_materialize_empty_ledger():
-    assert materialize(Ledger()).entries == ()
+    assert materialize(Ledger()) == ()
 
 
 def test_materialize_deletion_becomes_tombstone():
     ledger = build_worked_ledger()
     append_batch(ledger, UpdateBatch([UpdateRecord(2, "t5", None)]))
     view = materialize(ledger)
-    entries = {e.opid: e for e in view.entries}
+    entries = {e.opid: e for e in view}
     assert entries[2].is_deletion and entries[2].timestamp == "t5"
     assert (entries[1].timestamp, entries[1].description) == ("t4", "opt4")
     assert (entries[3].timestamp, entries[3].description) == ("t3", "opt3")
@@ -166,16 +166,14 @@ def test_materialize_deletion_becomes_tombstone():
 def test_verify_against_table_consistent():
     ledger = build_worked_ledger()
     table = DataTable("Events", WORKED_HISTORY)
-    assert verify_against_table(ledger, table).consistent
+    assert verify_against_table(ledger, table) == ()
 
 
 def test_verify_against_table_flags_in_place_table_edit():
     ledger = build_worked_ledger()
     rows = list(WORKED_HISTORY)
     rows[1] = UpdateRecord(2, "t2", "opt5")
-    report = verify_against_table(ledger, DataTable("Events", tuple(rows)))
-    assert not report.consistent
-    (div,) = report.divergences
+    (div,) = verify_against_table(ledger, DataTable("Events", tuple(rows)))
     assert div.position == 2 and div.opid == 2
     assert div.expected.description == "opt2" and div.found.description == "opt5"
 
@@ -184,8 +182,7 @@ def test_verify_against_table_flags_final_row_edit():
     ledger = build_worked_ledger()
     rows = list(WORKED_HISTORY)
     rows[3] = UpdateRecord(1, "t4", "opt6")
-    report = verify_against_table(ledger, DataTable("Events", tuple(rows)))
-    (div,) = report.divergences
+    (div,) = verify_against_table(ledger, DataTable("Events", tuple(rows)))
     assert div.position == 4
     assert div.expected.description == "opt4" and div.found.description == "opt6"
 
@@ -193,13 +190,11 @@ def test_verify_against_table_flags_final_row_edit():
 def test_verify_against_table_flags_missing_and_extra_rows():
     ledger = build_worked_ledger()
     short = DataTable("Events", WORKED_HISTORY[:3])
-    report = verify_against_table(ledger, short)
-    (div,) = report.divergences
+    (div,) = verify_against_table(ledger, short)
     assert div.position == 4 and div.found is None
 
     long = DataTable("Events", WORKED_HISTORY + (UpdateRecord(9, "t9", "x"),))
-    report = verify_against_table(ledger, long)
-    (div,) = report.divergences
+    (div,) = verify_against_table(ledger, long)
     assert div.position == 5 and div.expected is None
 
 
@@ -213,7 +208,7 @@ def test_round_trip_rebuild_is_record_identical():
         assert [render_record(a) for a in ledger.records] == [
             render_record(b) for b in rebuilt.records
         ]
-        assert verify_against_table(ledger, reconstruct(ledger)).consistent
+        assert verify_against_table(ledger, reconstruct(ledger)) == ()
 
 
 _text = st.text(
@@ -239,7 +234,7 @@ def test_materialize_equals_latest_per_opid_of_reconstruct(batches):
     for row in reconstruct(ledger).rows:
         latest[row.opid] = row
     view = materialize(ledger)
-    assert [(e.opid, e.timestamp, e.description) for e in view.entries] == [
+    assert [(e.opid, e.timestamp, e.description) for e in view] == [
         (opid, latest[opid].timestamp, latest[opid].description) for opid in sorted(latest)
     ]
 

@@ -417,3 +417,42 @@ def test_failed_out_write_leaves_the_previous_file_as_it_was(paths, tmp_path, co
     assert code == 3 and f"[Errno {errno.EFBIG}]" in err, err
     assert out_path.read_bytes() == b"previous contents\n"
     assert sorted(p.name for p in out_dir.iterdir()) == ["previous"]
+
+
+def test_verify_detects_every_single_byte_flip(paths):
+    """Flip bit 0 of each byte of the ledger, then of the data file, and verify.
+
+    Every record-line byte of the ledger and every byte of the data file
+    makes verify exit non-zero. The ledger header's table name is covered by
+    no hash, so renaming it passes plain verify; verify --table refuses it
+    (exit 2, ledger and data file name different tables). verify writes nothing.
+    """
+    ledger, table = _init_and_fill(paths)
+    ledger_bytes, table_bytes = ledger.read_bytes(), table.read_bytes()
+    header_end = ledger_bytes.index(b"\n") + 1
+    name_start = ledger_bytes.index(b" Events ") + 1
+    name_bytes = set(range(name_start, name_start + len("Events")))
+
+    def flipped(data, i):
+        return data[:i] + bytes([data[i] ^ 0x01]) + data[i + 1 :]
+
+    def verify(*extra):
+        return invoke_cli(["verify", "--ledger", ledger, *extra])[0]
+
+    passed_plain_verify = set()
+    for i in range(len(ledger_bytes)):
+        mutated = flipped(ledger_bytes, i)
+        ledger.write_bytes(mutated)
+        if verify() == 0:
+            assert i < header_end, f"record-line byte {i} flip not detected"
+            passed_plain_verify.add(i)
+            assert verify("--table", table) == 2, i
+        assert (ledger.read_bytes(), table.read_bytes()) == (mutated, table_bytes)
+    assert passed_plain_verify == name_bytes
+
+    ledger.write_bytes(ledger_bytes)
+    for i in range(len(table_bytes)):
+        mutated = flipped(table_bytes, i)
+        table.write_bytes(mutated)
+        assert verify("--table", table) != 0, f"data-file byte {i} flip not detected"
+        assert (ledger.read_bytes(), table.read_bytes()) == (ledger_bytes, mutated)

@@ -1,5 +1,10 @@
 """Guarded ledger persistence: format, append preconditions, durability."""
 
+import errno
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -34,7 +39,7 @@ def _write_worked_file(path) -> Ledger:
 def test_create_writes_exact_header(tmp_path):
     path = tmp_path / "l.ctl"
     with LedgerFile.create(path, "Events") as lf:
-        assert lf.record_count == 0 and lf.tip_hash is None
+        assert len(lf.ledger) == 0 and lf.ledger.tip_hash is None
     assert path.read_bytes() == b"CHAINTABLE-LEDGER v1 Events double-sha256-v1\n"
     assert read_ledger_header(path) == "Events"
 
@@ -162,7 +167,7 @@ def test_open_with_repair_truncates_partial_tail(tmp_path):
     with pytest.raises(StorageViolation):
         LedgerFile.open(path)
     with LedgerFile.open(path, repair=True) as lf:
-        assert lf.record_count == 3
+        assert len(lf.ledger) == 3
         # After repair the file is appendable again at the right lid.
         record = append_batch(ledger, UpdateBatch([UpdateRecord(7, "t7", "x")]))
         lf.append(record)
@@ -218,3 +223,53 @@ def test_file_prefix_is_invariant_across_appends(tmp_path):
             assert after.startswith(before)
             assert len(after) > len(before)
     assert verify_chain(load_ledger(path)).valid
+
+
+# Opens the ledger at argv[1], fails one append on RLIMIT_FSIZE (set in this
+# process only), lifts the limit, then either closes (argv[2] == "close") or
+# appends the same record again; prints the failed append's errno.
+_FAILED_APPEND_CHILD = """
+import os, resource, sys
+from chaintable import LedgerFile, UpdateBatch, UpdateRecord, append_batch
+
+path, then = sys.argv[1], sys.argv[2]
+hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+with LedgerFile.open(path) as lf:
+    batch = UpdateBatch([UpdateRecord(9, "t9", "after a failed write")])
+    record = append_batch(lf.ledger.copy(), batch)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (os.path.getsize(path) + 20, hard))
+    try:
+        lf.append(record)
+    except OSError as exc:
+        print(exc.errno)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (hard, hard))
+    if then == "append":
+        lf.append(record)
+"""
+
+
+@pytest.mark.parametrize("then", ["close", "append"])
+def test_failed_append_leaves_no_bytes_queued(tmp_path, then):
+    path = tmp_path / "l.ctl"
+    ledger = _write_worked_file(path)
+    before = path.read_bytes()
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILED_APPEND_CHILD, str(path), then],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(errno.EFBIG)]
+    if then == "close":
+        assert path.read_bytes() == before
+        return
+    record = append_batch(ledger, UpdateBatch([UpdateRecord(9, "t9", "after a failed write")]))
+    loaded = load_ledger(path)
+    assert verify_chain(loaded).valid
+    assert loaded.records == ledger.records
+    assert path.read_bytes() == before + (render_record(record) + "\n").encode("utf-8")

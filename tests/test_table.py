@@ -23,17 +23,17 @@ from conftest import WORKED_BATCHES, WORKED_HISTORY, WORKED_VIEW, invoke_cli
 
 def test_actual_view_of_worked_history():
     view = replay_rows(DataTable("Events", WORKED_HISTORY).rows)
-    assert [(e.opid, e.timestamp, e.description) for e in view.entries] == list(WORKED_VIEW)
+    assert [(e.opid, e.timestamp, e.description) for e in view] == list(WORKED_VIEW)
 
 
 def test_actual_view_of_empty_table():
-    assert replay_rows(DataTable("Events").rows).entries == ()
+    assert replay_rows(DataTable("Events").rows) == ()
 
 
 def test_history_ending_in_deletion_flags_tombstone():
     rows = WORKED_HISTORY + (UpdateRecord(3, "t5", None),)
     view = replay_rows(rows)
-    entries = {e.opid: e for e in view.entries}
+    entries = {e.opid: e for e in view}
     assert entries[3].is_deletion
     assert not entries[1].is_deletion and not entries[2].is_deletion
 
@@ -41,7 +41,7 @@ def test_history_ending_in_deletion_flags_tombstone():
 def test_append_order_wins_not_timestamp_text():
     # "t9" sorts after "t10" lexically; replay must ignore that entirely.
     rows = (UpdateRecord(1, "t9", "old"), UpdateRecord(1, "t10", "new"))
-    (entry,) = replay_rows(rows).entries
+    (entry,) = replay_rows(rows)
     assert (entry.timestamp, entry.description) == ("t10", "new")
 
 
@@ -168,9 +168,9 @@ _rows = st.lists(
 @given(_rows)
 def test_replay_keeps_one_entry_per_opid_sorted(rows):
     view = replay_rows(rows)
-    opids = [e.opid for e in view.entries]
+    opids = [e.opid for e in view]
     assert opids == sorted(set(r.opid for r in rows))
-    for entry in view.entries:
+    for entry in view:
         last = [r for r in rows if r.opid == entry.opid][-1]
         assert (entry.timestamp, entry.description) == (last.timestamp, last.description)
 
