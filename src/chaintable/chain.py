@@ -132,7 +132,8 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
     return VerificationReport(valid=True)
 
 
-def _require_valid(ledger: Ledger) -> None:
+def require_valid(ledger: Ledger) -> None:
+    """Verify the chain once; raise InvalidLedgerError if it is broken."""
     report = verify_chain(ledger)
     if not report.valid:
         raise InvalidLedgerError(report)
@@ -146,7 +147,7 @@ def append_batch(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:
     """
     if not isinstance(batch, UpdateBatch):
         raise MalformedBatchError(f"not an update batch: {batch!r}")
-    _require_valid(ledger)
+    require_valid(ledger)
     lid = len(ledger.records) + 1
     prev_hash = ledger.tip_hash
     record = ChainRecord(
@@ -161,11 +162,9 @@ def append_batch(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:
 
 def reconstruct(ledger: Ledger) -> DataTable:
     """Rebuild the full append-only row history from a valid ledger."""
-    _require_valid(ledger)
-    rows: list[UpdateRecord] = []
-    for record in ledger.records:
-        rows.extend(record.update.records)
-    return DataTable(name="reconstructed", rows=tuple(rows))
+    require_valid(ledger)
+    rows = tuple(row for record in ledger.records for row in record.update)
+    return DataTable(name="reconstructed", rows=rows)
 
 
 def materialize(ledger: Ledger) -> tuple[UpdateRecord, ...]:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .attack import forge, measure_rewrite_cascade, overwrite_ledger
-from .chain import Divergence, VerificationReport, compare_rows, materialize, reconstruct
+from .chain import Divergence, compare_rows, materialize, require_valid, verify_chain
 from .encoding import encode_record, parse_batch_input, record_as_dict
 from .errors import (
     ChainTableError,
@@ -113,15 +113,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # A file that cannot even be parsed is an integrity failure here,
         # not a usage error: verify exists to pronounce on exactly that.
         _fail(str(exc))
-        _emit(args, {"chain": {"valid": False, "failure_kind": exc.kind.name}, "table": None}, [])
+        chain = {"valid": False, "failure_kind": exc.kind.name, "line": exc.line}
+        _emit(args, {"chain": chain, "table": None}, [])
         return EXIT_INTEGRITY
 
-    # One verification: reconstruct checks the chain before any data file is read.
-    try:
-        history = reconstruct(ledger)
-        report = VerificationReport(valid=True)
-    except InvalidLedgerError as exc:
-        report = exc.report
+    # One verification, before any data file is read.
+    report = verify_chain(ledger)
     payload: dict[str, Any] = {
         "chain": {
             "valid": report.valid,
@@ -142,22 +139,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_INTEGRITY
 
     if args.table is not None:
-        # Only a data file that differs from the ledger's rendering is decoded.
-        rows, divergences = history.rows, ()
+        # Rows, of either file, are decoded only when the data file differs.
+        rows, divergences = sum(len(r.update) for r in ledger.records), ()
         if Path(args.table).read_bytes() != b"".join(render_data_file(ledger)):
-            table_name, rows = read_data_file(args.table)
+            table_name, found = read_data_file(args.table)
             if table_name != ledger.name:
                 raise StoreMismatchError(
                     f"ledger is for table '{ledger.name}' but data file is '{table_name}'"
                 )
-            divergences = compare_rows(history.rows, rows)
+            history = [row for record in ledger.records for row in record.update]
+            rows, divergences = len(found), compare_rows(history, found)
         payload["table"] = {
             "consistent": not divergences,
-            "rows": len(rows),
+            "rows": rows,
             "divergences": [_divergence_payload(d) for d in divergences],
         }
         if not divergences:
-            lines.append(f"table: consistent ({len(rows)} rows)")
+            lines.append(f"table: consistent ({rows} rows)")
         else:
             lines.append("table: DIVERGENT")
             lines.extend(_divergence_line(d) for d in divergences)
@@ -175,13 +173,14 @@ def _refuse_out_on_ledger(args: argparse.Namespace) -> None:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     ledger = load_ledger(args.ledger)
-    table = reconstruct(ledger)
+    require_valid(ledger)
     _refuse_out_on_ledger(args)
     replace_file(args.out, render_data_file(ledger))
+    rows = sum(len(record.update) for record in ledger.records)
     _emit(
         args,
-        {"rows": len(table), "out": str(args.out), "name": ledger.name},
-        [f"reconstructed {len(table)} rows into {args.out}"],
+        {"rows": rows, "out": str(args.out), "name": ledger.name},
+        [f"reconstructed {rows} rows into {args.out}"],
     )
     return EXIT_OK
 
@@ -189,15 +188,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 def cmd_materialize(args: argparse.Namespace) -> int:
     view = materialize(load_ledger(args.ledger))
     _refuse_out_on_ledger(args)
-    entries = [
-        {
-            "opid": e.opid,
-            "timestamp": e.timestamp,
-            "description": e.description,
-            "deleted": e.is_deletion,
-        }
-        for e in view
-    ]
+    entries = [{**record_as_dict(e), "deleted": e.is_deletion} for e in view]
     lines = []
     for e in view:
         if e.is_deletion:

@@ -5,6 +5,10 @@ for all time: a JSON array of record objects, keys always in the order
 opid, timestamp, description, no insignificant whitespace, UTF-8 bytes, and
 an explicit null for a deletion's absent description. Equal batches encode to
 identical bytes; any field difference changes the bytes.
+
+A batch is its canonical bytes, checked once however it is made: the record
+rules (_check_row), no key twice, and one encode, which a stored update must
+equal byte for byte. Rows are decoded from the kept bytes only when used.
 """
 
 from __future__ import annotations
@@ -12,17 +16,22 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import MalformedBatchError, StorageViolation, StorageViolationKind
 
-_HEX_DIGITS = set("0123456789abcdef")
+_HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 # The one definition of a control character: C0, DEL and C1.
 _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
+_FIELDS = frozenset(("opid", "timestamp", "description"))
+
 # One shared encoder: json.dumps with these options builds a new one per call.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+# It only ever sees fresh lists of fresh dicts, so it skips the cycle check.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, check_circular=False)
+# Decodes a batch's kept bytes, which passed every rule, straight into rows.
+_ROWS = json.JSONDecoder(object_hook=lambda row: _row_record(row))
 
 
 @dataclass(frozen=True)
@@ -38,7 +47,7 @@ class Hash:
     @classmethod
     def from_hex(cls, text: str) -> "Hash":
         """Parse a 64-character lowercase hex rendering; reject anything else."""
-        if len(text) != 64 or not set(text) <= _HEX_DIGITS:
+        if not _HEX_DIGEST.fullmatch(text):
             raise ValueError(f"not a 64-char lowercase hex digest: {text!r}")
         return cls(bytes.fromhex(text))
 
@@ -48,6 +57,22 @@ class Hash:
 
     def __str__(self) -> str:
         return self.hex
+
+
+def _check_row(opid: Any, timestamp: Any, description: Any) -> None:
+    """The record rules, for an UpdateRecord and for every decoded row."""
+    if not isinstance(opid, int) or isinstance(opid, bool) or opid < 1:
+        raise MalformedBatchError(f"opid must be a positive integer, got {opid!r}")
+    if not isinstance(timestamp, str) or not timestamp:
+        raise MalformedBatchError("timestamp must be a non-empty string")
+    if _CONTROL.search(timestamp):
+        raise MalformedBatchError("timestamp must not contain control characters")
+    if description is not None and not isinstance(description, str):
+        raise MalformedBatchError("description must be a string or None")
+    try:  # only a lone surrogate cannot be encoded
+        (timestamp + (description or "")).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise MalformedBatchError(f"field is not valid unicode text: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -63,19 +88,7 @@ class UpdateRecord:
     description: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.opid, int) or isinstance(self.opid, bool) or self.opid < 1:
-            raise MalformedBatchError(f"opid must be a positive integer, got {self.opid!r}")
-        if not isinstance(self.timestamp, str) or not self.timestamp:
-            raise MalformedBatchError("timestamp must be a non-empty string")
-        if _CONTROL.search(self.timestamp):
-            raise MalformedBatchError("timestamp must not contain control characters")
-        if self.description is not None and not isinstance(self.description, str):
-            raise MalformedBatchError("description must be a string or None")
-        for text in (self.timestamp, self.description or ""):
-            try:
-                text.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise MalformedBatchError(f"field is not valid unicode text: {exc}") from exc
+        _check_row(self.opid, self.timestamp, self.description)
 
     @property
     def key(self) -> tuple[int, str]:
@@ -87,46 +100,56 @@ class UpdateRecord:
         return self.description is None
 
 
-@dataclass(frozen=True)
+def _row_record(row: dict[str, Any]) -> UpdateRecord:
+    """The one place an UpdateRecord is made from values that passed _check_row."""
+    record = object.__new__(UpdateRecord)
+    object.__setattr__(record, "__dict__", row)
+    return record
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class UpdateBatch:
     """The ordered, non-empty set of rows written by one table operation.
 
-    Its canonical bytes are encoded once, at construction, and kept: the batch
-    and its records are frozen, so they cannot go stale.
+    A batch is its canonical bytes, encoded once and kept; equality and
+    hashing compare them, which, the encoding being injective, is comparing
+    rows. records is decoded from the bytes on first use and kept too.
     """
 
-    records: tuple[UpdateRecord, ...]
-    _encoded: bytes = field(init=False, repr=False, compare=False)
+    _encoded: bytes
+    _records: tuple[UpdateRecord, ...] | None = field(compare=False, repr=False)
 
     def __init__(self, records: Iterable[UpdateRecord]) -> None:
-        object.__setattr__(self, "records", tuple(records))
-        if not self.records:
-            raise MalformedBatchError("an update batch must contain at least one record")
-        seen: set[tuple[int, str]] = set()
-        for record in self.records:
+        records = tuple(records)
+        for record in records:
             if not isinstance(record, UpdateRecord):
                 raise MalformedBatchError(f"not an update record: {record!r}")
-            if record.key in seen:
-                raise MalformedBatchError(
-                    f"duplicate (opid, timestamp) within batch: {record.key}"
-                )
-            seen.add(record.key)
-        object.__setattr__(self, "_encoded", _encode_records(self.records))
+        encoded = _encode_records([record_as_dict(r) for r in records]).encode("utf-8")
+        object.__setattr__(self, "_encoded", encoded)
+        object.__setattr__(self, "_records", records)
+
+    @property
+    def records(self) -> tuple[UpdateRecord, ...]:
+        if self._records is None:
+            records = tuple(_ROWS.raw_decode(self._encoded.decode("utf-8"))[0])
+            object.__setattr__(self, "_records", records)
+        return self._records  # type: ignore[return-value]
+
+    def keys(self) -> list[tuple[int, str]]:
+        """Each row's (opid, timestamp), read from the bytes without building rows."""
+        return [(row["opid"], row["timestamp"]) for row in json.loads(self._encoded)]
 
     def __iter__(self) -> Iterator[UpdateRecord]:
         return iter(self.records)
 
     def __len__(self) -> int:
-        return len(self.records)
+        # Rows counted at record boundaries, which render_batch splits at.
+        return self._encoded.count(b'},{"opid":') + 1
 
 
 def record_as_dict(record: UpdateRecord) -> dict[str, Any]:
     """Record fields in canonical key order."""
-    return {
-        "opid": record.opid,
-        "timestamp": record.timestamp,
-        "description": record.description,
-    }
+    return {"opid": record.opid, "timestamp": record.timestamp, "description": record.description}
 
 
 def encode_record(record: UpdateRecord) -> str:
@@ -134,8 +157,16 @@ def encode_record(record: UpdateRecord) -> str:
     return _ENCODER.encode(record_as_dict(record))
 
 
-def _encode_records(records: tuple[UpdateRecord, ...]) -> bytes:
-    return _ENCODER.encode([record_as_dict(record) for record in records]).encode("utf-8")
+def _encode_records(rows: Sequence[dict[str, Any]]) -> str:
+    """Canonical text of a batch of checked rows, each in canonical key order:
+    refuses an empty batch and a key written twice."""
+    keys = [(row["opid"], row["timestamp"]) for row in rows]
+    if not keys:
+        raise MalformedBatchError("an update batch must contain at least one record")
+    if len(set(keys)) < len(keys):
+        twice = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise MalformedBatchError(f"duplicate (opid, timestamp) within batch: {twice}")
+    return _ENCODER.encode(rows)
 
 
 def canonical_encode_update(batch: UpdateBatch) -> bytes:
@@ -152,23 +183,22 @@ def render_batch(batch: UpdateBatch) -> bytes:
     return batch._encoded[1:-1].replace(b'},{"opid":', b'}\n{"opid":') + b"\n"
 
 
-def _record_from_obj(obj: Any) -> UpdateRecord:
+def _checked_row(obj: Any) -> dict[str, Any]:
+    """A decoded row checked by the record rules, rebuilt in canonical key order."""
     if not isinstance(obj, dict):
         raise MalformedBatchError(f"record must be a JSON object, got {type(obj).__name__}")
-    if set(obj) != {"opid", "timestamp", "description"}:
+    if obj.keys() != _FIELDS:
         raise MalformedBatchError(
             f"record object must have exactly the keys opid, timestamp, description; got {sorted(obj)}"
         )
-    return UpdateRecord(obj["opid"], obj["timestamp"], obj["description"])
+    row = {"opid": obj["opid"], "timestamp": obj["timestamp"], "description": obj["description"]}
+    _check_row(row["opid"], row["timestamp"], row["description"])
+    return row
 
 
 def decode_record(text: str) -> UpdateRecord:
     """Parse one canonical record object."""
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # see _json_value
-        raise MalformedBatchError(f"invalid record JSON: {exc}") from exc
-    return _record_from_obj(obj)
+    return _row_record(_checked_row(_json_value(text)))
 
 
 def _json_value(text: str | bytes) -> Any:
@@ -180,15 +210,28 @@ def _json_value(text: str | bytes) -> Any:
         raise MalformedBatchError(f"invalid update JSON: {exc}") from exc
 
 
-def _batch_from_value(data: Any) -> UpdateBatch:
+def _batch_from_value(data: Any, stored: str | None = None) -> UpdateBatch:
+    """The one batch decoder. With stored, the text data was decoded from,
+    the batch's canonical bytes must equal it."""
     if not isinstance(data, list):
         raise MalformedBatchError("update encoding must be a JSON array of records")
-    return UpdateBatch(_record_from_obj(obj) for obj in data)
+    encoded = _encode_records([_checked_row(obj) for obj in data])
+    if stored is not None and encoded != stored:
+        raise MalformedBatchError("update is not in canonical form")
+    batch = object.__new__(UpdateBatch)
+    object.__setattr__(batch, "_encoded", encoded.encode("utf-8"))
+    object.__setattr__(batch, "_records", None)
+    return batch
 
 
 def decode_update(text: str | bytes) -> UpdateBatch:
-    """Parse a canonical update encoding back into a batch."""
+    """Parse an update encoding back into a batch (any JSON layout)."""
     return _batch_from_value(_json_value(text))
+
+
+def decode_stored_update(text: str) -> UpdateBatch:
+    """Parse a stored update, which must be its batch's canonical bytes exactly."""
+    return _batch_from_value(_json_value(text), text)
 
 
 def parse_batch_input(text: str | bytes) -> UpdateBatch:

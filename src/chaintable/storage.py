@@ -10,8 +10,10 @@ The only write operations are creating the header and appending exactly one
 record line at the end; there is no update, delete, or bulk entry point, so
 the append-only and one-record-at-a-time principles hold by construction.
 Preconditions reject lid gaps and prevHash mismatches before any byte is
-written, and every append is flushed to stable storage before returning. A
-record line must re-render byte-for-byte or loading reports it corrupt.
+written, and every append is flushed to stable storage before returning.
+Loading checks each line once, building no rows: lid and hashes by pattern,
+the update by one JSON decode, the record rules and one re-encode that must
+equal the stored bytes; a line that fails is corrupt.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from io import FileIO
 from pathlib import Path
 
 from .chain import HASH_ALGORITHM, ChainRecord, Ledger
-from .encoding import Hash, canonical_encode_update, decode_line, decode_update
+from .encoding import Hash, canonical_encode_update, decode_line, decode_stored_update
 from .errors import (
     LockError,
     MalformedBatchError,
@@ -38,7 +40,7 @@ LEDGER_MAGIC = "CHAINTABLE-LEDGER"
 LEDGER_VERSION = "v1"
 ABSENT_PREV = "-"
 
-_LID_RE = re.compile(r"^[1-9][0-9]*$")
+_LID_RE = re.compile(r"[1-9][0-9]*")
 
 
 def ledger_header_line(name: str) -> str:
@@ -67,7 +69,7 @@ def render_record(record: ChainRecord) -> str:
 
 
 def parse_record_line(line: str, lineno: int) -> ChainRecord:
-    """Parse one record line; any deviation from the exact format is corrupt."""
+    """Parse one record line; any deviation from what render_record writes is corrupt."""
 
     def corrupt(detail: str) -> StorageViolation:
         return StorageViolation(StorageViolationKind.CORRUPT_RECORD, detail, line=lineno)
@@ -76,29 +78,20 @@ def parse_record_line(line: str, lineno: int) -> ChainRecord:
     if len(parts) != 4:
         raise corrupt("record line does not have 4 space-separated fields")
     lid_text, hash_text, prev_text, update_text = parts
-    if not _LID_RE.match(lid_text):
+    if not _LID_RE.fullmatch(lid_text):
         raise corrupt(f"bad lid field {lid_text!r}")
     try:
         lid = int(lid_text)  # ValueError past the interpreter's digit limit
         stored_hash = Hash.from_hex(hash_text)
         prev_hash = None if prev_text == ABSENT_PREV else Hash.from_hex(prev_text)
-        update = decode_update(update_text)
+        update = decode_stored_update(update_text)
     except (ValueError, MalformedBatchError) as exc:
         raise corrupt(str(exc)) from exc
-    record = ChainRecord(lid, stored_hash, prev_hash, update)
-    if render_record(record) != line:
-        raise corrupt("record line is not in canonical form")
-    return record
-
-
-def _split_lines(raw: bytes) -> tuple[list[bytes], bytes]:
-    """Split file bytes into complete lines and the unterminated tail."""
-    pieces = raw.split(b"\n")
-    return pieces[:-1], pieces[-1]
+    return ChainRecord(lid, stored_hash, prev_hash, update)
 
 
 def _parse_file(raw: bytes, repair: bool) -> Ledger:
-    lines, tail = _split_lines(raw)
+    *lines, tail = raw.split(b"\n")  # tail: bytes after the last line break
     if not lines:
         # Nothing is newline-terminated yet: the header itself is partial.
         raise StorageViolation(
@@ -188,10 +181,8 @@ class LedgerFile:
                 raise
             raw = path.read_bytes()
             ledger = _parse_file(raw, repair)
-            size = len(raw)
-            _, tail = _split_lines(raw)
-            if tail:
-                size -= len(tail)
+            size = raw.rfind(b"\n") + 1  # less a partial final line, which repair drops
+            if size < len(raw):
                 os.ftruncate(fh.fileno(), size)
         except Exception:
             fh.close()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .chain import ChainRecord, Ledger, append_batch, reconstruct
+from .chain import ChainRecord, Ledger, append_batch, require_valid
 from .encoding import UpdateBatch, render_batch
 from .errors import (
     DuplicateKeyError,
@@ -71,8 +71,8 @@ class ChainTableStore:
     ) -> "ChainTableStore":
         """Open for writing: verify the chain, then reconcile the data file.
 
-        The ledger is read and parsed once, by LedgerFile.open, and verified
-        once, by reconstruct; an invalid chain raises InvalidLedgerError.
+        The ledger is parsed once, by LedgerFile.open, and verified once (an
+        invalid chain raises InvalidLedgerError); keys come from batch bytes.
 
         A data file holding a byte prefix of the file the ledger renders (an
         interrupted create or coupled write, torn anywhere, even empty) is
@@ -82,7 +82,8 @@ class ChainTableStore:
         table_path = Path(table_path)
         ledger_file = LedgerFile.open(ledger_path, repair=repair)
         try:
-            keys = {row.key for row in reconstruct(ledger_file.ledger).rows}
+            require_valid(ledger_file.ledger)
+            keys = {key for record in ledger_file.ledger.records for key in record.update.keys()}
             expected = b"".join(render_data_file(ledger_file.ledger))
             found = table_path.read_bytes()
             if not expected.startswith(found):

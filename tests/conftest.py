@@ -2,23 +2,45 @@
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import io
 import json
+import re
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from chaintable import (
+    ChainRecord,
     ChainTableStore,
+    Hash,
     Ledger,
+    MalformedBatchError,
+    StorageViolation,
+    StorageViolationKind,
     UpdateBatch,
     UpdateRecord,
     append_batch,
 )
 from chaintable.cli import main as cli_main
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a run neither varies nor leaves a .hypothesis/ directory.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+
+# Hypothesis also caches constants it reads from the source while tests are
+# collected; that cache goes to a temporary directory, removed at exit.
+_hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
+atexit.register(shutil.rmtree, _hypothesis_home, ignore_errors=True)
+set_hypothesis_home_dir(_hypothesis_home)
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "double_sha256.json"
 
@@ -72,6 +94,60 @@ def replay_ledger(ledger: Ledger) -> tuple[UpdateRecord, ...]:
         for update in record.update:
             latest[update.opid] = update
     return tuple(latest[opid] for opid in sorted(latest))
+
+
+_ORACLE_HEX = set("0123456789abcdef")
+_ORACLE_LID = re.compile(r"^[1-9][0-9]*$")
+
+
+def _oracle_hash(text: str) -> Hash:
+    if len(text) != 64 or not set(text) <= _ORACLE_HEX:
+        raise ValueError(f"not a 64-char lowercase hex digest: {text!r}")
+    return Hash(bytes.fromhex(text))
+
+
+def _oracle_record(obj: object) -> UpdateRecord:
+    if not isinstance(obj, dict):
+        raise MalformedBatchError("record must be a JSON object")
+    if set(obj) != {"opid", "timestamp", "description"}:
+        raise MalformedBatchError("record object must have exactly three keys")
+    return UpdateRecord(obj["opid"], obj["timestamp"], obj["description"])
+
+
+def parse_record_line_oracle(line: str, lineno: int) -> ChainRecord:
+    """Oracle for storage.parse_record_line: build every row as an
+    UpdateRecord, then require the line to equal its re-rendering, made here
+    with json.dumps rather than the library's encoder."""
+
+    def corrupt(detail: str) -> StorageViolation:
+        return StorageViolation(StorageViolationKind.CORRUPT_RECORD, detail, line=lineno)
+
+    parts = line.split(" ", 3)
+    if len(parts) != 4:
+        raise corrupt("record line does not have 4 space-separated fields")
+    lid_text, hash_text, prev_text, update_text = parts
+    if not _ORACLE_LID.match(lid_text):
+        raise corrupt(f"bad lid field {lid_text!r}")
+    try:
+        lid = int(lid_text)
+        stored_hash = _oracle_hash(hash_text)
+        prev_hash = None if prev_text == "-" else _oracle_hash(prev_text)
+        data = json.loads(update_text)
+        if not isinstance(data, list):
+            raise MalformedBatchError("update encoding must be a JSON array of records")
+        records = [_oracle_record(obj) for obj in data]
+        update = UpdateBatch(records)
+    except (ValueError, RecursionError, MalformedBatchError) as exc:
+        raise corrupt(str(exc)) from exc
+    rendered = json.dumps(
+        [{"opid": r.opid, "timestamp": r.timestamp, "description": r.description} for r in records],
+        separators=(",", ":"),
+        ensure_ascii=False,
+    )
+    prev = "-" if prev_hash is None else prev_hash.hex
+    if f"{lid} {stored_hash.hex} {prev} {rendered}" != line:
+        raise corrupt("record line is not in canonical form")
+    return ChainRecord(lid, stored_hash, prev_hash, update)
 
 
 @pytest.fixture

@@ -152,6 +152,18 @@ def test_verify_corrupt_file_is_integrity_failure(paths):
     assert invoke_cli(["verify", "--ledger", ledger])[0] == 1
 
 
+def test_verify_json_names_the_refused_line(paths):
+    ledger, _ = _init_and_fill(paths)
+    lines = ledger.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b'{"opid":', b'{"opid": ', 1)  # line 3 is not canonical
+    ledger.write_bytes(b"\n".join(lines))
+    code, out, err = invoke_cli(["verify", "--ledger", ledger, "--json"])
+    assert code == 1
+    assert "CORRUPT_RECORD (line 3)" in err
+    chain = {"valid": False, "failure_kind": "CORRUPT_RECORD", "line": 3}
+    assert json.loads(out) == {"chain": chain, "table": None}
+
+
 def test_verify_corrupt_data_file_is_storage_failure_with_line(paths):
     ledger, table = _init_and_fill(paths)
     whole = table.read_bytes()

@@ -109,6 +109,17 @@ def test_hash_from_hex_rejects_non_canonical(text):
         Hash.from_hex(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["AB" * 32, "ab" * 31 + "a", "ab" * 32 + "a", "ab" * 32 + "\n", "\u0663" * 64, "\uff11" * 64],
+    ids=["upper-case", "63 chars", "65 chars", "trailing newline", "arabic digits", "fullwidth"],
+)
+def test_hash_from_hex_accepts_only_64_lowercase_ascii_hex_digits(text):
+    with pytest.raises(ValueError):
+        Hash.from_hex(text)
+    assert Hash.from_hex("ab" * 32).digest == b"\xab" * 32
+
+
 def test_decode_record_requires_exact_keys():
     with pytest.raises(MalformedBatchError):
         decode_record('{"opid":1,"timestamp":"t1"}')
@@ -121,6 +132,15 @@ def test_decode_record_requires_exact_keys():
 def test_decode_update_round_trip():
     batch = UpdateBatch([UpdateRecord(2, "t2", "opt2"), UpdateRecord(3, "t3", None)])
     assert decode_update(canonical_encode_update(batch)) == batch
+
+
+def test_a_decoded_batch_equals_and_hashes_as_the_batch_it_encodes():
+    batch = UpdateBatch([UpdateRecord(2, "t2", "opt2"), UpdateRecord(3, "t3", None)])
+    decoded = decode_update(canonical_encode_update(batch))
+    assert (decoded == batch, hash(decoded) == hash(batch), len(decoded)) == (True, True, 2)
+    assert decoded.records == batch.records
+    assert [r.key for r in decoded] == [(2, "t2"), (3, "t3")]
+    assert decoded != UpdateBatch([UpdateRecord(2, "t2", "opt2")])
 
 
 def test_parse_batch_input_accepts_one_batch():

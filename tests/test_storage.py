@@ -1,6 +1,7 @@
 """Guarded ledger persistence: format, append preconditions, durability."""
 
 import errno
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaintable import (
     ChainRecord,
@@ -25,7 +28,7 @@ from chaintable import (
 )
 from chaintable.chain import compute_hash
 from chaintable.storage import parse_record_line, read_ledger_header, render_record
-from conftest import WORKED_BATCHES, build_worked_ledger, random_batch
+from conftest import WORKED_BATCHES, build_worked_ledger, parse_record_line_oracle, random_batch
 
 
 def _write_worked_file(path) -> Ledger:
@@ -208,6 +211,110 @@ def test_parse_record_line_requires_canonical_form(mangle, tmp_path):
     with pytest.raises(StorageViolation) as excinfo:
         parse_record_line(mangle(good), 2)
     assert excinfo.value.kind is StorageViolationKind.CORRUPT_RECORD
+
+
+_pieces = st.one_of(
+    st.sampled_from(['"', "\\", "/", "é", "\U0001f600", "\u2028", " ", "},{", '"opid":']),
+    st.characters(blacklist_categories=("Cs", "Cc")),
+)
+_controls = st.sampled_from(["\x00", "\n", "\x85"])
+_rows = st.lists(
+    st.tuples(
+        st.integers(1, 2**70),
+        st.lists(_pieces, min_size=1, max_size=5).map("".join),
+        st.one_of(st.none(), st.lists(st.one_of(_pieces, _controls), max_size=5).map("".join)),
+    ),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda row: row[:2],
+)
+_ORDER = ("opid", "timestamp", "description")
+_MUTATIONS = (
+    "whitespace", "reorder", "duplicate key", "opid", "ascii escapes", "surrogate",
+    "upper hex", "lid 01", "duplicate row", "extra key", "missing key", "not a list", "flip",
+)
+
+
+@st.composite
+def _record_lines(draw):
+    """A canonical record line (a fifth of the draws), or one with a single
+    deviation of the kind a hand edit or a faulty writer makes."""
+    rows = draw(_rows)
+    lid = str(draw(st.integers(1, 10**20)))
+    digest = draw(st.binary(min_size=32, max_size=32)).hex()
+    prev = draw(st.one_of(st.just("-"), st.binary(min_size=32, max_size=32).map(bytes.hex)))
+    text = lambda value: json.dumps(value, ensure_ascii=False)  # noqa: E731
+    fields = [{"opid": str(o), "timestamp": text(t), "description": text(d)} for o, t, d in rows]
+    orders, extras = [_ORDER] * len(rows), [""] * len(rows)
+    i = draw(st.integers(0, len(rows) - 1))
+    mutation = draw(st.sampled_from((None, None, None, *_MUTATIONS)))
+    if mutation == "reorder":
+        orders[i] = draw(st.permutations(_ORDER))
+    elif mutation == "missing key":
+        gone = draw(st.sampled_from(_ORDER))
+        orders[i] = tuple(k for k in _ORDER if k != gone)
+    elif mutation == "duplicate key":
+        key = draw(st.sampled_from(_ORDER))
+        extras[i] = f',"{key}":' + draw(st.sampled_from([fields[i][key], "2", '"t"', "null"]))
+    elif mutation == "extra key":
+        extras[i] = ',"x":1'
+    elif mutation == "opid":
+        literals = ["1.0", "true", "false", "0", "-1", "01", '"1"', "1e0", "null", "NaN"]
+        fields[i]["opid"] = draw(st.sampled_from(literals))
+    elif mutation == "ascii escapes":
+        _, t, d = rows[i]
+        fields[i]["timestamp"], fields[i]["description"] = json.dumps(t), json.dumps(d)
+    elif mutation == "surrogate":
+        key = draw(st.sampled_from(["timestamp", "description"]))
+        fields[i][key] = draw(st.sampled_from(['"a\\ud800"', '"\\udc00"', '"\\ud83d\\ude00"']))
+    elif mutation == "upper hex":
+        digest, prev = draw(st.sampled_from([(digest.upper(), prev), (digest, prev.upper())]))
+    elif mutation == "lid 01":
+        lid = "0" + lid
+    elif mutation == "duplicate row":
+        fields.append(fields[i])
+        orders.append(_ORDER)
+        extras.append("")
+    objects = [
+        "{" + ",".join(f'"{k}":{f[k]}' for k in order) + extra + "}"
+        for f, order, extra in zip(fields, orders, extras)
+    ]
+    update = "[" + ",".join(objects) + "]" if mutation != "not a list" else objects[i]
+    line = f"{lid} {digest} {prev} {update}"
+    if mutation == "whitespace":
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from([" ", "\t", "\n", "\r"])) + line[at:]
+    elif mutation == "flip":
+        at = draw(st.integers(0, len(line) - 1))
+        flipped = draw(st.sampled_from(list('01aA"\\{}[],: -é') + ["\x00"]))
+        line = line[:at] + flipped + line[at + 1 :]
+    return line
+
+
+_GOOD = '7 ' + "ab" * 32 + " - " + '[{"opid":1,"timestamp":"t1","description":null}]'
+
+
+@settings(max_examples=250, deadline=None)
+@given(_record_lines(), st.integers(2, 10**6))
+@example(_GOOD, 2)
+@example(_GOOD.replace("null", '"\\u00e9"'), 3)
+@example("1\n" + _GOOD[1:], 4)
+def test_parse_record_line_agrees_with_the_parser_it_replaced(line, lineno):
+    """The check-once parser accepts exactly the lines that decoding every
+    row and comparing the re-rendered line accepts, with equal records and
+    rows, and refuses the rest as CORRUPT_RECORD at the same line."""
+    try:
+        expected = parse_record_line_oracle(line, lineno)
+    except StorageViolation as refusal:
+        assert refusal.kind is StorageViolationKind.CORRUPT_RECORD
+        with pytest.raises(StorageViolation) as excinfo:
+            parse_record_line(line, lineno)
+        assert (excinfo.value.kind, excinfo.value.line) == (refusal.kind, lineno)
+        return
+    record = parse_record_line(line, lineno)
+    assert record == expected
+    assert record.update.records == expected.update.records
+    assert len(record.update) == len(expected.update.records)
 
 
 def test_file_prefix_is_invariant_across_appends(tmp_path):

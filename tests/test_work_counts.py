@@ -1,6 +1,6 @@
 """Exact work per CLI command on an n-record store: hashes computed, ledger
-lines parsed, batches encoded and data-file rows decoded. Counts, not
-timings, so a redundant pass fails deterministically."""
+lines parsed, batches encoded, data-file rows decoded and rows built.
+Counts, not timings, so a redundant pass fails deterministically."""
 
 from collections import Counter
 
@@ -27,8 +27,9 @@ def _store(tmp_path, n):
 
 def _counting(monkeypatch):
     """Count compute_hash, parse_record_line, canonical batch encodes (the
-    one function that fills an UpdateBatch's kept bytes) and data-file row
-    decodes from here on."""
+    one function that fills an UpdateBatch's kept bytes), data-file row
+    decodes and rows built (the one function that turns checked row values
+    into an UpdateRecord) from here on."""
     calls = Counter()
 
     def count(module, name):
@@ -45,6 +46,7 @@ def _counting(monkeypatch):
     count(chaintable.storage, "parse_record_line")
     count(chaintable.encoding, "_encode_records")
     count(chaintable.table, "decode_record")
+    count(chaintable.encoding, "_row_record")
     return calls
 
 
@@ -151,3 +153,46 @@ def test_a_differing_data_file_is_decoded_to_report_how(tmp_path, monkeypatch):
     calls = _counting(monkeypatch)
     assert invoke_cli(["verify", "--ledger", ledger, "--table", table])[0] == 1
     assert calls["decode_record"] == 30
+
+
+def _multi_row_store(tmp_path, n):
+    """n batches of 1 to 3 rows; returns (ledger, table, row count)."""
+    ledger, table = tmp_path / "l.ctl", tmp_path / "t.ctd"
+    rows = 0
+    with ChainTableStore.create(ledger, table, "Events") as store:
+        for i in range(1, n + 1):
+            batch = [UpdateRecord(j, f"t{i}", f"d{i}") for j in range(1, i % 3 + 2)]
+            store.append(UpdateBatch(batch))
+            rows += len(batch)
+    return ledger, table, rows
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("command", ["status", "verify", "verify --table", "reconstruct"])
+def test_commands_that_use_no_rows_build_none(tmp_path, monkeypatch, n, command):
+    ledger, table, _ = _multi_row_store(tmp_path, n)
+    argv = [command.split()[0], "--ledger", ledger]
+    if command == "verify --table":
+        argv += ["--table", table]
+    if command == "reconstruct":
+        argv += ["--out", tmp_path / "rebuilt.ctd"]
+    calls = _counting(monkeypatch)
+    code, _, err = invoke_cli(argv)
+    assert code == 0, err
+    assert calls["_row_record"] == 0
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_open_builds_no_rows(tmp_path, monkeypatch, n):
+    ledger, table, _ = _multi_row_store(tmp_path, n)
+    calls = _counting(monkeypatch)
+    ChainTableStore.open(ledger, table).close()
+    assert calls["_row_record"] == 0
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_materialize_builds_each_stored_row_once(tmp_path, monkeypatch, n):
+    ledger, _, rows = _multi_row_store(tmp_path, n)
+    calls = _counting(monkeypatch)
+    assert invoke_cli(["materialize", "--ledger", ledger])[0] == 0
+    assert calls["_row_record"] == rows
