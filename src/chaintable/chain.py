@@ -54,10 +54,11 @@ class Ledger:
     """Ordered chain records with contiguous lids 1..n.
 
     Records are immutable; only the container grows, and only via
-    append_batch or LedgerFile.append. Construction does not re-verify so
-    that tampered ledgers remain representable; verify_chain is the
-    integrity check. name is the table name from the file header of a
-    ledger read from disk, None for a ledger built in memory.
+    append_batch or LedgerFile.append; seal computes a record and appends
+    none. Construction does not re-verify so that tampered ledgers remain
+    representable; verify_chain is the integrity check. name is the table
+    name from the file header of a ledger read from disk, None for a ledger
+    built in memory.
     """
 
     records: list[ChainRecord] = field(default_factory=list)
@@ -139,23 +140,24 @@ def require_valid(ledger: Ledger) -> None:
         raise InvalidLedgerError(report)
 
 
+def seal(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:
+    """Return the record that carries batch after the ledger's tip; the ledger
+    is left unchanged and is not verified (append_batch verifies it)."""
+    if not isinstance(batch, UpdateBatch):
+        raise MalformedBatchError(f"not an update batch: {batch!r}")
+    lid = len(ledger.records) + 1
+    prev_hash = ledger.tip_hash
+    return ChainRecord(lid, compute_hash(lid, batch, prev_hash), prev_hash, batch)
+
+
 def append_batch(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:
     """Append exactly one chain record carrying batch; returns the record.
 
     Refuses to extend a ledger that fails verification. Existing records are
     never touched.
     """
-    if not isinstance(batch, UpdateBatch):
-        raise MalformedBatchError(f"not an update batch: {batch!r}")
     require_valid(ledger)
-    lid = len(ledger.records) + 1
-    prev_hash = ledger.tip_hash
-    record = ChainRecord(
-        lid=lid,
-        hash=compute_hash(lid, batch, prev_hash),
-        prev_hash=prev_hash,
-        update=batch,
-    )
+    record = seal(ledger, batch)
     ledger.records.append(record)
     return record
 

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .attack import forge, measure_rewrite_cascade, overwrite_ledger
 from .chain import Divergence, compare_rows, materialize, require_valid, verify_chain
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .storage import load_ledger
 from .store import ChainTableStore
-from .table import read_data_file, render_data_file, replace_file
+from .table import read_table_rows, render_data_file, replace_file
 
 EXIT_OK = 0
 EXIT_INTEGRITY = 1
@@ -43,7 +43,7 @@ EXIT_USAGE = 2
 EXIT_STORAGE = 3
 
 
-def _emit(args: argparse.Namespace, payload: dict[str, Any], lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict[str, Any], lines: Iterable[str]) -> None:
     if args.json:
         print(json.dumps(payload, separators=(",", ":"), ensure_ascii=False))
     else:
@@ -142,11 +142,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # Rows, of either file, are decoded only when the data file differs.
         rows, divergences = sum(len(r.update) for r in ledger.records), ()
         if Path(args.table).read_bytes() != b"".join(render_data_file(ledger)):
-            table_name, found = read_data_file(args.table)
-            if table_name != ledger.name:
-                raise StoreMismatchError(
-                    f"ledger is for table '{ledger.name}' but data file is '{table_name}'"
-                )
+            found = read_table_rows(args.table, ledger.name)
             history = [row for record in ledger.records for row in record.update]
             rows, divergences = len(found), compare_rows(history, found)
         payload["table"] = {
@@ -188,18 +184,23 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 def cmd_materialize(args: argparse.Namespace) -> int:
     view = materialize(load_ledger(args.ledger))
     _refuse_out_on_ledger(args)
-    entries = [{**record_as_dict(e), "deleted": e.is_deletion} for e in view]
-    lines = []
-    for e in view:
-        if e.is_deletion:
-            lines.append(f"opid {e.opid}: deleted (tombstone at timestamp {e.timestamp})")
-        else:
-            lines.append(f"opid {e.opid}: timestamp={e.timestamp} description={e.description}")
+    entries = None  # each form of the view is built only if printed or written
+    if args.json or args.out is not None:
+        entries = [{**record_as_dict(e), "deleted": e.is_deletion} for e in view]
     if args.out is not None:
         rendered = json.dumps(entries, separators=(",", ":"), ensure_ascii=False) + "\n"
         replace_file(args.out, [rendered.encode("utf-8")])
-        lines.append(f"wrote {len(entries)} entries to {args.out}")
-    _emit(args, {"view": entries, "out": None if args.out is None else str(args.out)}, lines)
+
+    def lines() -> Iterator[str]:
+        for e in view:
+            if e.is_deletion:
+                yield f"opid {e.opid}: deleted (tombstone at timestamp {e.timestamp})"
+            else:
+                yield f"opid {e.opid}: timestamp={e.timestamp} description={e.description}"
+        if args.out is not None:
+            yield f"wrote {len(view)} entries to {args.out}"
+
+    _emit(args, {"view": entries, "out": None if args.out is None else str(args.out)}, lines())
     return EXIT_OK
 
 

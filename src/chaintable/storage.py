@@ -11,9 +11,11 @@ record line at the end; there is no update, delete, or bulk entry point, so
 the append-only and one-record-at-a-time principles hold by construction.
 Preconditions reject lid gaps and prevHash mismatches before any byte is
 written, and every append is flushed to stable storage before returning.
-Loading checks each line once, building no rows: lid and hashes by pattern,
-the update by one JSON decode, the record rules and one re-encode that must
-equal the stored bytes; a line that fails is corrupt.
+Loading splits lines and reads the header by the rules the data file shares
+(table.stored_lines, table.parse_header); only the ledger's repair drops a
+torn final line. Each record line is checked once, building no rows: lid and
+hashes by pattern, the update by one JSON decode, the record rules and one
+re-encode that must equal the stored bytes; a line that fails is corrupt.
 """
 
 from __future__ import annotations
@@ -27,39 +29,26 @@ from io import FileIO
 from pathlib import Path
 
 from .chain import HASH_ALGORITHM, ChainRecord, Ledger
-from .encoding import Hash, canonical_encode_update, decode_line, decode_stored_update
+from .encoding import Hash, canonical_encode_update, decode_stored_update
 from .errors import (
     LockError,
     MalformedBatchError,
     StorageViolation,
     StorageViolationKind,
 )
-from .table import check_table_name, create_file, is_table_name
+from .table import check_table_name, create_file, parse_header, stored_lines
 
 LEDGER_MAGIC = "CHAINTABLE-LEDGER"
 LEDGER_VERSION = "v1"
 ABSENT_PREV = "-"
+_HEADER_PREFIX = f"{LEDGER_MAGIC} {LEDGER_VERSION} "
+_HEADER_SUFFIX = f" {HASH_ALGORITHM}"
 
 _LID_RE = re.compile(r"[1-9][0-9]*")
 
 
 def ledger_header_line(name: str) -> str:
-    return f"{LEDGER_MAGIC} {LEDGER_VERSION} {name} {HASH_ALGORITHM}"
-
-
-def parse_ledger_header(line: str) -> str:
-    """Return the table name from a complete header line; refuses a name that
-    writing would refuse."""
-    prefix = f"{LEDGER_MAGIC} {LEDGER_VERSION} "
-    suffix = f" {HASH_ALGORITHM}"
-    # A line shorter than prefix + suffix slices to "", which is no name.
-    name = line[len(prefix) : -len(suffix)]
-    if not line.startswith(prefix) or not line.endswith(suffix) or not is_table_name(name):
-        raise StorageViolation(
-            StorageViolationKind.HEADER_MISMATCH,
-            f"not a {LEDGER_MAGIC} {LEDGER_VERSION}/{HASH_ALGORITHM} header: {line!r}",
-        )
-    return name
+    return f"{_HEADER_PREFIX}{name}{_HEADER_SUFFIX}"
 
 
 def render_record(record: ChainRecord) -> str:
@@ -91,26 +80,9 @@ def parse_record_line(line: str, lineno: int) -> ChainRecord:
 
 
 def _parse_file(raw: bytes, repair: bool) -> Ledger:
-    *lines, tail = raw.split(b"\n")  # tail: bytes after the last line break
-    if not lines:
-        # Nothing is newline-terminated yet: the header itself is partial.
-        raise StorageViolation(
-            StorageViolationKind.CORRUPT_RECORD,
-            "empty file or incomplete header line",
-            line=1,
-        )
-    name = parse_ledger_header(decode_line(lines[0], 1))
-    records = [
-        parse_record_line(decode_line(data, lineno), lineno)
-        for lineno, data in enumerate(lines[1:], start=2)
-    ]
-    if tail and not repair:
-        raise StorageViolation(
-            StorageViolationKind.CORRUPT_RECORD,
-            f"final line is a partial write ({len(tail)} bytes, no terminator)",
-            line=len(lines) + 1,
-        )
-    return Ledger(records, name)
+    lines = stored_lines(raw, repair)
+    name = parse_header(next(lines)[1], _HEADER_PREFIX, _HEADER_SUFFIX)
+    return Ledger([parse_record_line(text, lineno) for lineno, text in lines], name)
 
 
 def load_ledger(path: str | os.PathLike[str], repair: bool = False) -> Ledger:
@@ -128,13 +100,7 @@ def read_ledger_header(path: str | os.PathLike[str]) -> str:
     """Return the table name recorded in the ledger file header."""
     with open(path, "rb") as fh:
         first = fh.readline()
-    if not first.endswith(b"\n"):
-        raise StorageViolation(
-            StorageViolationKind.CORRUPT_RECORD,
-            "empty file or incomplete header line",
-            line=1,
-        )
-    return parse_ledger_header(decode_line(first[:-1], 1))
+    return parse_header(next(stored_lines(first))[1], _HEADER_PREFIX, _HEADER_SUFFIX)
 
 
 @dataclass

@@ -5,6 +5,8 @@ an appended row); replay_rows projects it to the latest row per opid, where
 a row whose description is null is a tombstone. The data file is one header line
 ``CHAINTABLE-DATA v1 <name>`` followed by one canonical record object per
 line: a function of the ledger, which render_data_file renders byte for byte.
+Both stored files, this one and the ledger, are read by one line splitter
+(stored_lines) and one header rule (parse_header).
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .encoding import _CONTROL, UpdateRecord, decode_line, decode_record, encode_record, render_batch
-from .errors import MalformedBatchError, StorageViolation, StorageViolationKind
+from .errors import MalformedBatchError, StorageViolation, StorageViolationKind, StoreMismatchError
 
 if TYPE_CHECKING:
     from .chain import Ledger
 
 DATA_MAGIC = "CHAINTABLE-DATA"
 DATA_VERSION = "v1"
+_DATA_PREFIX = f"{DATA_MAGIC} {DATA_VERSION} "
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ def replay_rows(rows: Iterable[UpdateRecord]) -> tuple[UpdateRecord, ...]:
 
 
 def _data_header(name: str) -> bytes:
-    return f"{DATA_MAGIC} {DATA_VERSION} {name}\n".encode("utf-8")
+    return f"{_DATA_PREFIX}{name}\n".encode("utf-8")
 
 
 def is_table_name(name: str) -> bool:
@@ -70,16 +73,39 @@ def check_table_name(name: str) -> None:
         raise ValueError(f"table name must be non-empty printable text: {name!r}")
 
 
-def parse_data_header(line: str) -> str:
-    """Return the table name from a data-file header line; refuses a name
-    that writing would refuse."""
-    prefix = f"{DATA_MAGIC} {DATA_VERSION} "
-    if not line.startswith(prefix) or not is_table_name(line[len(prefix) :]):
+def parse_header(line: str, prefix: str, suffix: str = "") -> str:
+    """Return the table name from a header line, prefix + name + suffix;
+    refuses a name that writing would refuse."""
+    # A line shorter than prefix + suffix slices to "", which is no name.
+    name = line[len(prefix) : len(line) - len(suffix)]
+    if not line.startswith(prefix) or not line.endswith(suffix) or not is_table_name(name):
         raise StorageViolation(
-            StorageViolationKind.HEADER_MISMATCH,
-            f"not a {DATA_MAGIC} {DATA_VERSION} header: {line!r}",
+            StorageViolationKind.HEADER_MISMATCH, f"not a {prefix}<name>{suffix} header: {line!r}"
         )
-    return line[len(prefix) :]
+    return name
+
+
+def stored_lines(raw: bytes, repair: bool = False) -> Iterator[tuple[int, str]]:
+    """Split a stored file into (line number, text), the header as line 1.
+
+    A file with no complete line is CORRUPT_RECORD at line 1. An unterminated
+    tail after the last complete line is CORRUPT_RECORD, or skipped with
+    repair; it is checked only after every complete line has been taken, so
+    a corrupt line ahead of it is the one reported.
+    """
+    *lines, tail = raw.split(b"\n")  # tail: bytes after the last line break
+    if not lines:
+        raise StorageViolation(
+            StorageViolationKind.CORRUPT_RECORD, "empty file or incomplete header line", line=1
+        )
+    for lineno, data in enumerate(lines, start=1):
+        yield lineno, decode_line(data, lineno)
+    if tail and not repair:
+        raise StorageViolation(
+            StorageViolationKind.CORRUPT_RECORD,
+            f"final line is a partial write ({len(tail)} bytes, no terminator)",
+            line=len(lines) + 1,
+        )
 
 
 def render_data_file(ledger: Ledger) -> Iterator[bytes]:
@@ -130,17 +156,10 @@ def read_data_file(path: str | os.PathLike[str]) -> tuple[str, list[UpdateRecord
     A row that does not re-render byte for byte is CORRUPT_RECORD. Key
     uniqueness is not enforced, so tampered files stay loadable for comparison.
     """
-    raw = Path(path).read_bytes()
-    if not raw or b"\n" not in raw:
-        raise StorageViolation(
-            StorageViolationKind.CORRUPT_RECORD, "missing or incomplete header line", line=1
-        )
-    lines = raw.split(b"\n")
-    trailing = lines.pop()  # bytes after the final newline; must be empty
-    name = parse_data_header(decode_line(lines[0], 1))
+    lines = stored_lines(Path(path).read_bytes())
+    name = parse_header(next(lines)[1], _DATA_PREFIX)
     rows: list[UpdateRecord] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        text = decode_line(line, lineno)
+    for lineno, text in lines:
         try:
             rows.append(decode_record(text))
             if encode_record(rows[-1]) != text:
@@ -149,13 +168,15 @@ def read_data_file(path: str | os.PathLike[str]) -> tuple[str, list[UpdateRecord
             raise StorageViolation(
                 StorageViolationKind.CORRUPT_RECORD, str(exc), line=lineno
             ) from exc
-    if trailing:
-        raise StorageViolation(
-            StorageViolationKind.CORRUPT_RECORD,
-            "final line is not newline-terminated",
-            line=len(lines) + 1,
-        )
     return name, rows
+
+
+def read_table_rows(path: str | os.PathLike[str], name: str | None) -> list[UpdateRecord]:
+    """Read the rows of a data file that must be table name's (StoreMismatchError if not)."""
+    found, rows = read_data_file(path)
+    if found != name:
+        raise StoreMismatchError(f"data file is for table {found!r} but ledger is for {name!r}")
+    return rows
 
 
 def replace_file(path: str | os.PathLike[str], chunks: Iterable[bytes]) -> None:

@@ -8,10 +8,18 @@ import pytest
 
 import chaintable.attack
 import chaintable.chain
+import chaintable.cli
 import chaintable.encoding
 import chaintable.storage
 import chaintable.table
-from chaintable import ChainTableStore, DataTable, UpdateBatch, UpdateRecord
+from chaintable import (
+    ChainTableStore,
+    DataTable,
+    UpdateBatch,
+    UpdateRecord,
+    load_ledger,
+    materialize,
+)
 from conftest import invoke_cli
 
 SIZES = (0, 1, 30)
@@ -196,3 +204,28 @@ def test_materialize_builds_each_stored_row_once(tmp_path, monkeypatch, n):
     calls = _counting(monkeypatch)
     assert invoke_cli(["materialize", "--ledger", ledger])[0] == 0
     assert calls["_row_record"] == rows
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize(
+    ("flags", "entries"),
+    [((), False), (("--json",), True), (("--out",), True), (("--json", "--out"), True)],
+)
+def test_materialize_builds_only_the_output_it_prints(tmp_path, monkeypatch, n, flags, entries):
+    ledger, _, _ = _multi_row_store(tmp_path, n)
+    view_rows = len(materialize(load_ledger(ledger)))
+    argv = ["materialize", "--ledger", ledger, *flags]
+    if "--out" in flags:
+        argv.append(tmp_path / "view.json")
+    calls = Counter()
+    record_as_dict = chaintable.cli.record_as_dict
+
+    def counting(record):
+        calls["record_as_dict"] += 1
+        return record_as_dict(record)
+
+    monkeypatch.setattr(chaintable.cli, "record_as_dict", counting)
+    code, _, err = invoke_cli(argv)
+    assert code == 0, err
+    # JSON entries are built once per view row, only for --json or --out.
+    assert calls["record_as_dict"] == (view_rows if entries else 0)
