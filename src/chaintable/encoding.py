@@ -6,15 +6,16 @@ opid, timestamp, description, no insignificant whitespace, UTF-8 bytes, and
 an explicit null for a deletion's absent description. Equal batches encode to
 identical bytes; any field difference changes the bytes.
 
-A batch is its canonical bytes, checked once however it is made: the record
-rules (_check_row), no key twice, and one encode, which a stored update must
-equal byte for byte. Rows are decoded from the kept bytes only when used.
+A batch is its canonical bytes, checked once however it is made: by one pattern
+of the canonical form and no key twice, after the record rules and one encode
+for rows not read from a file. Rows are decoded from the bytes only when used.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -25,7 +26,16 @@ _HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
 # The one definition of a control character: C0, DEL and C1.
 _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
-_FIELDS = frozenset(("opid", "timestamp", "description"))
+# The canonical form as one pattern: keys in order, no whitespace, an opid int()
+# reads, no control character in a timestamp, only the escapes the encoder writes.
+# Possessive, so a hostile line is refused without backtracking.
+_DIGITS = sys.get_int_max_str_digits()  # 0: no limit
+_OPID = f"[1-9][0-9]{{0,{_DIGITS - 1}}}+" if _DIGITS else "[1-9][0-9]*+"
+_TIMESTAMP = r'(?:[^"\\\x00-\x1f\x7f-\x9f\ud800-\udfff]++|\\["\\])++'
+_DESCRIPTION = r'(?:[^"\\\x00-\x1f\ud800-\udfff]++|\\["\\nrtbf]|\\u00(?:0[0-7bef]|1[0-9a-f]))*+'
+_ROW = f'{{"opid":{_OPID},"timestamp":"{_TIMESTAMP}","description":(?:null|"{_DESCRIPTION}")}}'
+_CANONICAL_ROW = re.compile(_ROW)
+_CANONICAL_UPDATE = re.compile(rf"\[{_ROW}(?:,{_ROW})*+\]")
 
 # One shared encoder: json.dumps with these options builds a new one per call.
 # It only ever sees fresh lists of fresh dicts, so it skips the cycle check.
@@ -60,7 +70,7 @@ class Hash:
 
 
 def _check_row(opid: Any, timestamp: Any, description: Any) -> None:
-    """The record rules, for an UpdateRecord and for every decoded row."""
+    """The record rules, for an UpdateRecord and for every row of decoded input."""
     if not isinstance(opid, int) or isinstance(opid, bool) or opid < 1:
         raise MalformedBatchError(f"opid must be a positive integer, got {opid!r}")
     if not isinstance(timestamp, str) or not timestamp:
@@ -101,7 +111,8 @@ class UpdateRecord:
 
 
 def _row_record(row: dict[str, Any]) -> UpdateRecord:
-    """The one place an UpdateRecord is made from values that passed _check_row."""
+    """The one place an UpdateRecord is made from values already checked, by
+    _check_row or by the canonical pattern."""
     record = object.__new__(UpdateRecord)
     object.__setattr__(record, "__dict__", row)
     return record
@@ -124,8 +135,8 @@ class UpdateBatch:
         for record in records:
             if not isinstance(record, UpdateRecord):
                 raise MalformedBatchError(f"not an update record: {record!r}")
-        encoded = _encode_records([record_as_dict(r) for r in records]).encode("utf-8")
-        object.__setattr__(self, "_encoded", encoded)
+        encoded = _encode_records([record_as_dict(r) for r in records])
+        object.__setattr__(self, "_encoded", decode_stored_update(encoded)._encoded)
         object.__setattr__(self, "_records", records)
 
     @property
@@ -135,9 +146,11 @@ class UpdateBatch:
             object.__setattr__(self, "_records", records)
         return self._records  # type: ignore[return-value]
 
-    def keys(self) -> list[tuple[int, str]]:
-        """Each row's (opid, timestamp), read from the bytes without building rows."""
-        return [(row["opid"], row["timestamp"]) for row in json.loads(self._encoded)]
+    def keys(self) -> list[bytes]:
+        """Each row's opid and timestamp as canonical text, so equal texts are equal
+        keys. A " inside a string is escaped, so only a row starts with {"opid":,
+        and the next ,"description": ends its key."""
+        return [r.partition(b',"description":')[0] for r in self._encoded.split(b'{"opid":')[1:]]
 
     def __iter__(self) -> Iterator[UpdateRecord]:
         return iter(self.records)
@@ -158,14 +171,9 @@ def encode_record(record: UpdateRecord) -> str:
 
 
 def _encode_records(rows: Sequence[dict[str, Any]]) -> str:
-    """Canonical text of a batch of checked rows, each in canonical key order:
-    refuses an empty batch and a key written twice."""
-    keys = [(row["opid"], row["timestamp"]) for row in rows]
-    if not keys:
+    """Canonical text of a non-empty batch of checked rows in canonical key order."""
+    if not rows:
         raise MalformedBatchError("an update batch must contain at least one record")
-    if len(set(keys)) < len(keys):
-        twice = next(key for i, key in enumerate(keys) if key in keys[:i])
-        raise MalformedBatchError(f"duplicate (opid, timestamp) within batch: {twice}")
     return _ENCODER.encode(rows)
 
 
@@ -185,20 +193,18 @@ def render_batch(batch: UpdateBatch) -> bytes:
 
 def _checked_row(obj: Any) -> dict[str, Any]:
     """A decoded row checked by the record rules, rebuilt in canonical key order."""
-    if not isinstance(obj, dict):
-        raise MalformedBatchError(f"record must be a JSON object, got {type(obj).__name__}")
-    if obj.keys() != _FIELDS:
-        raise MalformedBatchError(
-            f"record object must have exactly the keys opid, timestamp, description; got {sorted(obj)}"
-        )
+    if not isinstance(obj, dict) or obj.keys() != {"opid", "timestamp", "description"}:
+        raise MalformedBatchError("record must be an object of opid, timestamp, description")
     row = {"opid": obj["opid"], "timestamp": obj["timestamp"], "description": obj["description"]}
     _check_row(row["opid"], row["timestamp"], row["description"])
     return row
 
 
 def decode_record(text: str) -> UpdateRecord:
-    """Parse one canonical record object."""
-    return _row_record(_checked_row(_json_value(text)))
+    """Parse one canonical record object, as a data-file row holds it."""
+    if not _CANONICAL_ROW.fullmatch(text):
+        raise MalformedBatchError("record is not in canonical form")
+    return _ROWS.decode(text)
 
 
 def _json_value(text: str | bytes) -> Any:
@@ -210,18 +216,11 @@ def _json_value(text: str | bytes) -> Any:
         raise MalformedBatchError(f"invalid update JSON: {exc}") from exc
 
 
-def _batch_from_value(data: Any, stored: str | None = None) -> UpdateBatch:
-    """The one batch decoder. With stored, the text data was decoded from,
-    the batch's canonical bytes must equal it."""
+def _batch_from_value(data: Any) -> UpdateBatch:
+    """The batch decoder for decoded JSON values, in any layout."""
     if not isinstance(data, list):
         raise MalformedBatchError("update encoding must be a JSON array of records")
-    encoded = _encode_records([_checked_row(obj) for obj in data])
-    if stored is not None and encoded != stored:
-        raise MalformedBatchError("update is not in canonical form")
-    batch = object.__new__(UpdateBatch)
-    object.__setattr__(batch, "_encoded", encoded.encode("utf-8"))
-    object.__setattr__(batch, "_records", None)
-    return batch
+    return decode_stored_update(_encode_records([_checked_row(obj) for obj in data]))
 
 
 def decode_update(text: str | bytes) -> UpdateBatch:
@@ -230,8 +229,17 @@ def decode_update(text: str | bytes) -> UpdateBatch:
 
 
 def decode_stored_update(text: str) -> UpdateBatch:
-    """Parse a stored update, which must be its batch's canonical bytes exactly."""
-    return _batch_from_value(_json_value(text), text)
+    """The batch of a canonical text, by the one rule for a batch's bytes: the
+    canonical pattern, then no key twice. Decodes no JSON and builds no row."""
+    if not _CANONICAL_UPDATE.fullmatch(text):
+        raise MalformedBatchError("update is not in canonical form")
+    batch = object.__new__(UpdateBatch)
+    object.__setattr__(batch, "_encoded", text.encode("utf-8"))  # no lone surrogate
+    object.__setattr__(batch, "_records", None)
+    if len(batch) > 1 and len(set(keys := batch.keys())) < len(keys):
+        twice = next(key for i, key in enumerate(keys) if key in keys[:i]).decode("utf-8")
+        raise MalformedBatchError(f'duplicate key within batch: {{"opid":{twice}}}')
+    return batch
 
 
 def parse_batch_input(text: str | bytes) -> UpdateBatch:

@@ -14,8 +14,8 @@ written, and every append is flushed to stable storage before returning.
 Loading splits lines and reads the header by the rules the data file shares
 (table.stored_lines, table.parse_header); only the ledger's repair drops a
 torn final line. Each record line is checked once, building no rows: lid and
-hashes by pattern, the update by one JSON decode, the record rules and one
-re-encode that must equal the stored bytes; a line that fails is corrupt.
+hashes by pattern, the update by the canonical-form pattern and no key twice
+(encoding.decode_stored_update); a line that fails is corrupt.
 """
 
 from __future__ import annotations
@@ -57,32 +57,32 @@ def render_record(record: ChainRecord) -> str:
     return f"{record.lid} {record.hash.hex} {prev} {update}"
 
 
-def parse_record_line(line: str, lineno: int) -> ChainRecord:
-    """Parse one record line; any deviation from what render_record writes is corrupt."""
-
-    def corrupt(detail: str) -> StorageViolation:
-        return StorageViolation(StorageViolationKind.CORRUPT_RECORD, detail, line=lineno)
-
+def parse_record_line(line: str, lineno: int, tip: Hash | None = None) -> ChainRecord:
+    """Parse one record line; any deviation from what render_record writes is
+    corrupt. tip, the line before's hash, is reused as prevHash if the texts match."""
     parts = line.split(" ", 3)
-    if len(parts) != 4:
-        raise corrupt("record line does not have 4 space-separated fields")
-    lid_text, hash_text, prev_text, update_text = parts
-    if not _LID_RE.fullmatch(lid_text):
-        raise corrupt(f"bad lid field {lid_text!r}")
     try:
+        if len(parts) != 4:
+            raise ValueError("record line does not have 4 space-separated fields")
+        lid_text, hash_text, prev_text, update_text = parts
+        if not _LID_RE.fullmatch(lid_text):
+            raise ValueError(f"bad lid field {lid_text!r}")
         lid = int(lid_text)  # ValueError past the interpreter's digit limit
         stored_hash = Hash.from_hex(hash_text)
-        prev_hash = None if prev_text == ABSENT_PREV else Hash.from_hex(prev_text)
+        known = tip is not None and prev_text == tip.hex
+        prev_hash = tip if known else None if prev_text == ABSENT_PREV else Hash.from_hex(prev_text)
         update = decode_stored_update(update_text)
     except (ValueError, MalformedBatchError) as exc:
-        raise corrupt(str(exc)) from exc
+        raise StorageViolation(StorageViolationKind.CORRUPT_RECORD, str(exc), line=lineno) from exc
     return ChainRecord(lid, stored_hash, prev_hash, update)
 
 
 def _parse_file(raw: bytes, repair: bool) -> Ledger:
     lines = stored_lines(raw, repair)
-    name = parse_header(next(lines)[1], _HEADER_PREFIX, _HEADER_SUFFIX)
-    return Ledger([parse_record_line(text, lineno) for lineno, text in lines], name)
+    ledger = Ledger([], parse_header(next(lines)[1], _HEADER_PREFIX, _HEADER_SUFFIX))
+    for lineno, text in lines:
+        ledger.records.append(parse_record_line(text, lineno, ledger.tip_hash))
+    return ledger
 
 
 def load_ledger(path: str | os.PathLike[str], repair: bool = False) -> Ledger:

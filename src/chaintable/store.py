@@ -2,7 +2,7 @@
 
 The ledger is the source of truth and the store's only history: its
 LedgerFile's one in-memory Ledger, grown only by durable appends. Beside it
-the store keeps just the set of (opid, timestamp) keys written. Writes go
+the store keeps just the set of key texts written (UpdateBatch.keys). Writes go
 ledger-first, data file second; if the process dies between the two, open()
 finds the data file to be a byte prefix (even empty) of the file the ledger
 renders and appends the missing bytes before accepting new writes. The two
@@ -28,7 +28,7 @@ class ChainTableStore:
     def __init__(
         self,
         ledger_file: LedgerFile,
-        keys: set[tuple[int, str]],
+        keys: set[bytes],
         table_path: Path,
     ) -> None:
         self._ledger_file = ledger_file
@@ -114,8 +114,9 @@ class ChainTableStore:
                 "a previous append failed after the ledger committed; reopen "
                 "the store to reconcile before writing again"
             )
-        clashes = [record.key for record in batch if record.key in self._keys]
-        if clashes:
+        keys = batch.keys()
+        if not self._keys.isdisjoint(keys):
+            clashes = [row.key for row, key in zip(batch, keys) if key in self._keys]
             raise DuplicateKeyError(f"(opid, timestamp) already present in table: {clashes}")
         # Re-verify before sealing, as append_batch does. open verified the
         # chain and only a durable LedgerFile.append grows it, so this costs n
@@ -123,7 +124,7 @@ class ChainTableStore:
         require_valid(self.ledger)
         record = seal(self.ledger, batch)
         self._ledger_file.append(record)
-        self._keys.update(row.key for row in batch)
+        self._keys.update(keys)
         try:
             append_data_rows(self._table_path, render_batch(batch))
         except Exception as exc:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from random import Random
 
@@ -294,8 +295,49 @@ def _record_lines(draw):
 _GOOD = '7 ' + "ab" * 32 + " - " + '[{"opid":1,"timestamp":"t1","description":null}]'
 
 
+def _update(*rows: tuple) -> str:
+    """An update of rows given as JSON texts (opid, timestamp, description)."""
+    fields = ('{"opid":%s,"timestamp":%s,"description":%s}' % row for row in rows)
+    return "[" + ",".join(fields) + "]"
+
+
+def _c0_forms(code: int) -> list[str]:
+    """A C0 character as a JSON string: its canonical escape, a long escape in
+    either hex case (one is canonical, or neither is for a short escape), and
+    the raw character."""
+    return sorted({json.dumps(chr(code)), '"\\u%04X"' % code, '"\\u%04x"' % code, f'"{chr(code)}"'})
+
+
+# Edge cases of the canonical form: opids at and past the digit limit; every
+# C0 character in each form, as timestamp (never allowed) and description;
+# \/; raw DEL, C1 and a lone surrogate; an empty timestamp; a row twice; and
+# texts holding a row boundary or a key's end.
+_EDGE_UPDATES = [
+    _update(("9" * 4300, '"t"', "null")),
+    _update(("9" * 5000, '"t"', "null")),
+    *(_update((1, form, '"d"')) for code in range(32) for form in _c0_forms(code)),
+    *(_update((1, '"t"', form)) for code in range(32) for form in _c0_forms(code)),
+    _update((1, '"t"', '"a\\/b"')),
+    *(_update((1, f'"a{ch}"', '"d"')) for ch in ("\x7f", "\x85", "\x9f", "\ud800")),
+    *(_update((1, '"t"', f'"a{ch}"')) for ch in ("\x7f", "\x85", "\x9f", "\ud800")),
+    _update((1, '""', "null")),
+    _update((1, '"t"', "null"), (1, '"t"', "null")),
+    _update((1, '"t"', "null"), (1, '"t"', '"other"')),
+    _update((1, json.dumps('t},{"opid":1'), "null"), (1, '"t"', "null")),
+    _update((1, '"t"', json.dumps('d},{"opid":1,"timestamp":"t","description":null'))),
+    _update((1, json.dumps('t,"description":x'), "null"), (1, '"t"', "null")),
+]
+
+
+def _edge_examples(test):
+    for update in _EDGE_UPDATES:
+        test = example(f"7 {'ab' * 32} - {update}", 5)(test)
+    return test
+
+
 @settings(max_examples=250, deadline=None)
 @given(_record_lines(), st.integers(2, 10**6))
+@_edge_examples
 @example(_GOOD, 2)
 @example(_GOOD.replace("null", '"\\u00e9"'), 3)
 @example("1\n" + _GOOD[1:], 4)
@@ -315,6 +357,25 @@ def test_parse_record_line_agrees_with_the_parser_it_replaced(line, lineno):
     assert record == expected
     assert record.update.records == expected.update.records
     assert len(record.update) == len(expected.update.records)
+
+
+@pytest.mark.parametrize(
+    "update",
+    [
+        '[{"opid":1,"timestamp":"' + "\\" * 10**6,
+        '[{"opid":1,"timestamp":"' + "a" * 10**6,
+        '[{"opid":1,"timestamp":"t","description":"' + "a\\n" * (10**6 // 3),
+        '[{"opid":' + "9" * 10**6,
+    ],
+    ids=["backslashes", "letters", "escapes", "digits"],
+)
+def test_a_hostile_update_is_refused_in_one_pass(update):
+    """A 1 MB unterminated update is refused without backtracking."""
+    start = time.perf_counter()
+    with pytest.raises(StorageViolation) as excinfo:
+        parse_record_line(f"7 {'ab' * 32} - {update}", 2)
+    assert excinfo.value.kind is StorageViolationKind.CORRUPT_RECORD
+    assert time.perf_counter() - start < 0.5
 
 
 def test_file_prefix_is_invariant_across_appends(tmp_path):

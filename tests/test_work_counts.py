@@ -35,7 +35,7 @@ def _store(tmp_path, n):
 
 def _counting(monkeypatch):
     """Count compute_hash, parse_record_line, canonical batch encodes (the
-    one function that fills an UpdateBatch's kept bytes), data-file row
+    one function that encodes rows into an UpdateBatch's bytes), data-file row
     decodes and rows built (the one function that turns checked row values
     into an UpdateRecord) from here on."""
     calls = Counter()
@@ -71,9 +71,9 @@ def test_append_parses_once_and_hashes_2n_plus_1(tmp_path, monkeypatch, n):
     ledger, table = _store(tmp_path, n)
     batch = '[{"opid":1,"timestamp":"new","description":"x"}]'
     argv = ["append", "--ledger", ledger, "--table", table]
-    # Encodes: each parsed line once, the new batch once; hashing and
-    # rendering reuse the kept bytes.
-    assert _counted(monkeypatch, argv, batch) == (2 * n + 1, n, n + 1)
+    # Encodes: the new batch once; a parsed line is checked by pattern and
+    # encodes nothing, and hashing and rendering reuse the kept bytes.
+    assert _counted(monkeypatch, argv, batch) == (2 * n + 1, n, 1)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -90,7 +90,7 @@ def test_in_session_append_encodes_only_the_new_batch(tmp_path, monkeypatch, n):
 def test_in_session_append_reads_only_the_new_batch_keys(tmp_path, monkeypatch, n):
     ledger, table = _store(tmp_path, n)
     calls = Counter()
-    key, keys = UpdateRecord.key, DataTable.keys
+    key, keys, batch_keys = UpdateRecord.key, DataTable.keys, UpdateBatch.keys
 
     def counting_key(record):
         calls["key"] += 1
@@ -100,13 +100,19 @@ def test_in_session_append_reads_only_the_new_batch_keys(tmp_path, monkeypatch, 
         calls["keys"] += 1
         return keys(self)
 
+    def counting_batch_keys(self):
+        calls["batch keys"] += 1
+        return batch_keys(self)
+
     with ChainTableStore.open(ledger, table) as store:
         batch = UpdateBatch([UpdateRecord(1, "new", "x")])
         monkeypatch.setattr(UpdateRecord, "key", property(counting_key))
         monkeypatch.setattr(DataTable, "keys", counting_keys)
+        monkeypatch.setattr(UpdateBatch, "keys", counting_batch_keys)
         store.append(batch)
-    # One read to check the new key against the history, one to record it.
-    assert (calls["keys"], calls["key"]) == (0, 2)
+    # One read of the new batch's key texts, to check them against the
+    # history and then to record them; no row's key is read.
+    assert (calls["keys"], calls["key"], calls["batch keys"]) == (0, 0, 1)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -118,28 +124,39 @@ def test_read_commands_parse_and_hash_each_record_once(tmp_path, monkeypatch, n,
         argv += ["--table", table]
     if command == "reconstruct":
         argv += ["--out", tmp_path / "rebuilt.ctd"]
-    assert _counted(monkeypatch, argv) == (n, n, n)
+    # Encodes: none; each parsed line is checked by pattern.
+    assert _counted(monkeypatch, argv) == (n, n, 0)
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_status_parses_and_encodes_each_record_once_and_hashes_none(tmp_path, monkeypatch, n):
     ledger, _ = _store(tmp_path, n)
-    assert _counted(monkeypatch, ["status", "--ledger", ledger]) == (0, n, n)
+    # Each record is parsed once and checked by pattern; none is encoded.
+    assert _counted(monkeypatch, ["status", "--ledger", ledger]) == (0, n, 0)
 
 
 @pytest.mark.parametrize(("n", "k"), [(1, 1), (30, 1), (30, 15), (30, 30)])
 def test_tamper_in_place_parses_once_and_hashes_the_cascade(tmp_path, monkeypatch, n, k):
     ledger, _ = _store(tmp_path, n)
     argv = ["tamper", "--ledger", ledger, "--scenario", "1", "--lid", k, "--set", "x"]
-    # Encodes: n parsed lines, plus the forged batch and the cascade's marker batch.
-    assert _counted(monkeypatch, argv) == (n - k + 1, n, n + 2)
+    # Encodes: the forged batch and the cascade's marker batch; parsing encodes none.
+    assert _counted(monkeypatch, argv) == (n - k + 1, n, 2)
 
 
 @pytest.mark.parametrize("n", (1, 30))
 def test_tamper_scenario_two_parses_once_and_hashes_twice(tmp_path, monkeypatch, n):
     ledger, _ = _store(tmp_path, n)
     argv = ["tamper", "--ledger", ledger, "--scenario", "2", "--set", "x"]
-    assert _counted(monkeypatch, argv) == (2, n, n + 2)
+    assert _counted(monkeypatch, argv) == (2, n, 2)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_open_parses_and_hashes_each_record_once_and_encodes_none(tmp_path, monkeypatch, n):
+    ledger, table = _store(tmp_path, n)
+    calls = _counting(monkeypatch)
+    ChainTableStore.open(ledger, table).close()
+    # Keys come from each batch's kept bytes, so open decodes and encodes none.
+    assert (calls["compute_hash"], calls["parse_record_line"], calls["_encode_records"]) == (n, n, 0)
 
 
 @pytest.mark.parametrize("n", SIZES)
