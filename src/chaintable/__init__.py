@@ -15,7 +15,6 @@ from .chain import (
     Divergence,
     FailureKind,
     Ledger,
-    VerificationReport,
     append_batch,
     compute_hash,
     materialize,
@@ -24,7 +23,6 @@ from .chain import (
     verify_chain,
 )
 from .encoding import (
-    Hash,
     UpdateBatch,
     UpdateRecord,
     canonical_encode_update,
@@ -59,7 +57,6 @@ __all__ = [
     "DuplicateKeyError",
     "FailureKind",
     "HASH_ALGORITHM",
-    "Hash",
     "InvalidLedgerError",
     "Ledger",
     "LedgerFile",
@@ -73,7 +70,6 @@ __all__ = [
     "StoreMismatchError",
     "UpdateBatch",
     "UpdateRecord",
-    "VerificationReport",
     "append_batch",
     "canonical_encode_update",
     "compute_hash",

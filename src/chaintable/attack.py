@@ -57,7 +57,7 @@ def forge(
             f"need 1 <= lid <= rewrite_through <= {n}, got lid={lid}, "
             f"rewrite_through={rewrite_through}"
         )
-    forged = ledger.copy()
+    forged = Ledger(list(ledger.records), ledger.name)
     records = forged.records
     target = records[lid - 1]
     batch = _replace_description(target.update, record_index, new_description)

@@ -7,9 +7,11 @@ double SHA-256 over the preimage
 
 with 0x7C ("|") separators and an empty third segment for the genesis record,
 whose prevHash is absent. The inner digest's raw 32 bytes feed the outer
-SHA-256, matching the usual double-SHA convention. Tampering any stored field
-of record k breaks recomputation at k or linkage at k+1, so restoring a
-verifiable chain forces rewriting every hash from k to the end.
+SHA-256, matching the usual double-SHA convention. A hash is carried as the
+text it is stored and printed as, 64 lowercase hex characters. Tampering any
+stored field of record k breaks recomputation at k or linkage at k+1, so
+restoring a verifiable chain forces rewriting every hash from k to the end.
+A broken chain is one outcome, InvalidLedgerError, naming the lid and check.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .encoding import Hash, UpdateBatch, UpdateRecord, canonical_encode_update
+from .encoding import UpdateBatch, UpdateRecord, canonical_encode_update
 from .errors import InvalidLedgerError, MalformedBatchError
 from .table import DataTable, replay_rows
 
@@ -37,11 +39,12 @@ class FailureKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ChainRecord:
-    """One ledger row. prev_hash is None only for the genesis record."""
+    """One ledger row; hashes are hex text. prev_hash is None only for the
+    genesis record."""
 
     lid: int
-    hash: Hash
-    prev_hash: Hash | None
+    hash: str
+    prev_hash: str | None
     update: UpdateBatch
 
     def __post_init__(self) -> None:
@@ -68,20 +71,8 @@ class Ledger:
         return len(self.records)
 
     @property
-    def tip_hash(self) -> Hash | None:
+    def tip_hash(self) -> str | None:
         return self.records[-1].hash if self.records else None
-
-    def copy(self) -> "Ledger":
-        return Ledger(list(self.records), self.name)
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of a chain scan; valid iff no record failed."""
-
-    valid: bool
-    first_invalid_lid: int | None = None
-    failure_kind: FailureKind | None = None
 
 
 @dataclass(frozen=True)
@@ -94,7 +85,7 @@ class Divergence:
     found: UpdateRecord | None  # what the table holds; None = row missing
 
 
-def compute_hash(lid: int, update: UpdateBatch, prev_hash: Hash | None) -> Hash:
+def compute_hash(lid: int, update: UpdateBatch, prev_hash: str | None) -> str:
     """Double SHA-256 of the record preimage (see module docstring)."""
     if not isinstance(lid, int) or isinstance(lid, bool) or lid < 1:
         raise MalformedBatchError(f"lid must be a positive integer, got {lid!r}")
@@ -103,41 +94,29 @@ def compute_hash(lid: int, update: UpdateBatch, prev_hash: Hash | None) -> Hash:
         + _SEPARATOR
         + canonical_encode_update(update)
         + _SEPARATOR
-        + (prev_hash.hex.encode("ascii") if prev_hash is not None else b"")
+        + (prev_hash.encode("ascii") if prev_hash is not None else b"")
     )
-    inner = hashlib.sha256(preimage).digest()
-    return Hash(hashlib.sha256(inner).digest())
+    return hashlib.sha256(hashlib.sha256(preimage).digest()).hexdigest()
 
 
-def verify_chain(ledger: Ledger) -> VerificationReport:
-    """Scan the chain in order and report the first failing record.
+def verify_chain(ledger: Ledger) -> None:
+    """Scan the chain in order; raise InvalidLedgerError at the first failing
+    record, return None if every record passes.
 
     Checks per record, in order: lid contiguity, genesis rule (prevHash
     absent iff lid 1), linkage to the previous stored hash, and recomputation
     of the stored hash. Never modifies the ledger; an empty chain is valid.
     """
-
-    def invalid(lid: int, kind: FailureKind) -> VerificationReport:
-        return VerificationReport(valid=False, first_invalid_lid=lid, failure_kind=kind)
-
     for index, record in enumerate(ledger.records):
         expected_lid = index + 1
         if record.lid != expected_lid:
-            return invalid(expected_lid, FailureKind.LID_GAP)
+            raise InvalidLedgerError(expected_lid, FailureKind.LID_GAP)
         if (record.prev_hash is None) != (record.lid == 1):
-            return invalid(record.lid, FailureKind.GENESIS_VIOLATION)
+            raise InvalidLedgerError(record.lid, FailureKind.GENESIS_VIOLATION)
         if index > 0 and record.prev_hash != ledger.records[index - 1].hash:
-            return invalid(record.lid, FailureKind.LINK_BREAK)
+            raise InvalidLedgerError(record.lid, FailureKind.LINK_BREAK)
         if compute_hash(record.lid, record.update, record.prev_hash) != record.hash:
-            return invalid(record.lid, FailureKind.HASH_MISMATCH)
-    return VerificationReport(valid=True)
-
-
-def require_valid(ledger: Ledger) -> None:
-    """Verify the chain once; raise InvalidLedgerError if it is broken."""
-    report = verify_chain(ledger)
-    if not report.valid:
-        raise InvalidLedgerError(report)
+            raise InvalidLedgerError(record.lid, FailureKind.HASH_MISMATCH)
 
 
 def seal(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:
@@ -156,7 +135,7 @@ def append_batch(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:
     Refuses to extend a ledger that fails verification. Existing records are
     never touched.
     """
-    require_valid(ledger)
+    verify_chain(ledger)
     record = seal(ledger, batch)
     ledger.records.append(record)
     return record
@@ -164,7 +143,7 @@ def append_batch(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:
 
 def reconstruct(ledger: Ledger) -> DataTable:
     """Rebuild the full append-only row history from a valid ledger."""
-    require_valid(ledger)
+    verify_chain(ledger)
     rows = tuple(row for record in ledger.records for row in record.update)
     return DataTable(name="reconstructed", rows=rows)
 

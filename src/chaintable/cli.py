@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 from .attack import forge, measure_rewrite_cascade, overwrite_ledger
-from .chain import Divergence, compare_rows, materialize, require_valid, verify_chain
+from .chain import Divergence, compare_rows, materialize, verify_chain
 from .encoding import encode_record, parse_batch_input, record_as_dict
 from .errors import (
     ChainTableError,
@@ -82,11 +82,11 @@ def cmd_append(args: argparse.Namespace) -> int:
         args,
         {
             "lid": record.lid,
-            "hash": record.hash.hex,
-            "prev_hash": None if record.prev_hash is None else record.prev_hash.hex,
+            "hash": record.hash,
+            "prev_hash": record.prev_hash,
             "records": len(batch),
         },
-        [f"appended lid {record.lid} ({len(batch)} update record(s))", f"hash: {record.hash.hex}"],
+        [f"appended lid {record.lid} ({len(batch)} update record(s))", f"hash: {record.hash}"],
     )
     return EXIT_OK
 
@@ -117,26 +117,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(args, {"chain": chain, "table": None}, [])
         return EXIT_INTEGRITY
 
-    # One verification, before any data file is read.
-    report = verify_chain(ledger)
-    payload: dict[str, Any] = {
-        "chain": {
-            "valid": report.valid,
-            "records": len(ledger),
-            "first_invalid_lid": report.first_invalid_lid,
-            "failure_kind": None if report.failure_kind is None else report.failure_kind.name,
-        },
-        "table": None,
-    }
-    lines: list[str] = []
-    if report.valid:
-        lines.append(f"chain: valid ({len(ledger)} records)")
-    else:
-        lines.append("chain: INVALID")
-        lines.append(f"first invalid lid: {report.first_invalid_lid}")
-        lines.append(f"failure: {report.failure_kind.name}")
+    chain = {"valid": True, "records": len(ledger), "first_invalid_lid": None, "failure_kind": None}
+    payload: dict[str, Any] = {"chain": chain, "table": None}
+    try:  # one verification, before any data file is read
+        verify_chain(ledger)
+    except InvalidLedgerError as exc:
+        chain.update(valid=False, first_invalid_lid=exc.lid, failure_kind=exc.kind.name)
+        lines = ["chain: INVALID", f"first invalid lid: {exc.lid}", f"failure: {exc.kind.name}"]
         _emit(args, payload, lines)
         return EXIT_INTEGRITY
+    lines = [f"chain: valid ({len(ledger)} records)"]
 
     if args.table is not None:
         # Rows, of either file, are decoded only when the data file differs.
@@ -169,7 +159,7 @@ def _refuse_out_on_ledger(args: argparse.Namespace) -> None:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     ledger = load_ledger(args.ledger)
-    require_valid(ledger)
+    verify_chain(ledger)
     _refuse_out_on_ledger(args)
     replace_file(args.out, render_data_file(ledger))
     rows = sum(len(record.update) for record in ledger.records)
@@ -258,18 +248,13 @@ def cmd_tamper(args: argparse.Namespace) -> int:
 
 def cmd_status(args: argparse.Namespace) -> int:
     ledger = load_ledger(args.ledger)
-    tip = ledger.tip_hash
     _emit(
         args,
-        {
-            "name": ledger.name,
-            "records": len(ledger),
-            "tip": None if tip is None else tip.hex,
-        },
+        {"name": ledger.name, "records": len(ledger), "tip": ledger.tip_hash},
         [
             f"table name: {ledger.name}",
             f"records: {len(ledger)}",
-            f"tip hash: {'-' if tip is None else tip.hex}",
+            f"tip hash: {ledger.tip_hash or '-'}",
         ],
     )
     return EXIT_OK
@@ -353,7 +338,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         _fail(str(exc))
         return EXIT_USAGE
-    except (LockError, StorageFailureError, FileNotFoundError, OSError) as exc:
+    except (LockError, StorageFailureError, OSError) as exc:
         _fail(str(exc))
         return EXIT_STORAGE
     except ChainTableError as exc:  # any remaining library error is a usage problem

@@ -21,8 +21,6 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import MalformedBatchError, StorageViolation, StorageViolationKind
 
-_HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
-
 # The one definition of a control character: C0, DEL and C1.
 _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
@@ -42,31 +40,6 @@ _CANONICAL_UPDATE = re.compile(rf"\[{_ROW}(?:,{_ROW})*+\]")
 _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, check_circular=False)
 # Decodes a batch's kept bytes, which passed every rule, straight into rows.
 _ROWS = json.JSONDecoder(object_hook=lambda row: _row_record(row))
-
-
-@dataclass(frozen=True)
-class Hash:
-    """A 32-byte digest, rendered as 64 lowercase hex characters."""
-
-    digest: bytes
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.digest, bytes) or len(self.digest) != 32:
-            raise ValueError("hash digest must be exactly 32 bytes")
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Hash":
-        """Parse a 64-character lowercase hex rendering; reject anything else."""
-        if not _HEX_DIGEST.fullmatch(text):
-            raise ValueError(f"not a 64-char lowercase hex digest: {text!r}")
-        return cls(bytes.fromhex(text))
-
-    @property
-    def hex(self) -> str:
-        return self.digest.hex()
-
-    def __str__(self) -> str:
-        return self.hex
 
 
 def _check_row(opid: Any, timestamp: Any, description: Any) -> None:

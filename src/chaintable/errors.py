@@ -11,7 +11,7 @@ import enum
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .chain import VerificationReport
+    from .chain import FailureKind
 
 
 class ChainTableError(Exception):
@@ -23,14 +23,13 @@ class MalformedBatchError(ChainTableError):
 
 
 class InvalidLedgerError(ChainTableError):
-    """Operation refused because the ledger fails chain verification."""
+    """The ledger fails chain verification: lid is the first failing record,
+    kind says which check it failed."""
 
-    def __init__(self, report: "VerificationReport") -> None:
-        self.report = report
-        super().__init__(
-            f"ledger fails verification at lid {report.first_invalid_lid} "
-            f"({report.failure_kind.name if report.failure_kind else '?'})"
-        )
+    def __init__(self, lid: int, kind: "FailureKind") -> None:
+        self.lid = lid
+        self.kind = kind
+        super().__init__(f"ledger fails verification at lid {lid} ({kind.name})")
 
 
 class DuplicateKeyError(ChainTableError):

@@ -13,9 +13,10 @@ Preconditions reject lid gaps and prevHash mismatches before any byte is
 written, and every append is flushed to stable storage before returning.
 Loading splits lines and reads the header by the rules the data file shares
 (table.stored_lines, table.parse_header); only the ledger's repair drops a
-torn final line. Each record line is checked once, building no rows: lid and
-hashes by pattern, the update by the canonical-form pattern and no key twice
-(encoding.decode_stored_update); a line that fails is corrupt.
+torn final line. Each record line is checked once, building no rows: one
+pattern splits it into a lid, a hash and a prevHash (hashes stay the stored
+hex text), then the update is checked by the canonical-form pattern and no
+key twice (encoding.decode_stored_update); a line that fails is corrupt.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from io import FileIO
 from pathlib import Path
 
 from .chain import HASH_ALGORITHM, ChainRecord, Ledger
-from .encoding import Hash, canonical_encode_update, decode_stored_update
+from .encoding import canonical_encode_update, decode_stored_update
 from .errors import (
     LockError,
     MalformedBatchError,
@@ -44,7 +45,9 @@ ABSENT_PREV = "-"
 _HEADER_PREFIX = f"{LEDGER_MAGIC} {LEDGER_VERSION} "
 _HEADER_SUFFIX = f" {HASH_ALGORITHM}"
 
-_LID_RE = re.compile(r"[1-9][0-9]*")
+_HASH = "[0-9a-f]{64}"
+# A record line as render_record writes it: lid, hash, prevHash or -, update.
+_RECORD_LINE = re.compile(rf"([1-9][0-9]*+) ({_HASH}) ({_HASH}|{ABSENT_PREV}) (.*)")
 
 
 def ledger_header_line(name: str) -> str:
@@ -52,36 +55,33 @@ def ledger_header_line(name: str) -> str:
 
 
 def render_record(record: ChainRecord) -> str:
-    prev = record.prev_hash.hex if record.prev_hash is not None else ABSENT_PREV
+    prev = ABSENT_PREV if record.prev_hash is None else record.prev_hash
     update = canonical_encode_update(record.update).decode("utf-8")
-    return f"{record.lid} {record.hash.hex} {prev} {update}"
+    return f"{record.lid} {record.hash} {prev} {update}"
 
 
-def parse_record_line(line: str, lineno: int, tip: Hash | None = None) -> ChainRecord:
-    """Parse one record line; any deviation from what render_record writes is
-    corrupt. tip, the line before's hash, is reused as prevHash if the texts match."""
-    parts = line.split(" ", 3)
+def parse_record_line(line: str, lineno: int) -> ChainRecord:
+    """Parse one record line; any deviation from what render_record writes is corrupt."""
     try:
-        if len(parts) != 4:
-            raise ValueError("record line does not have 4 space-separated fields")
-        lid_text, hash_text, prev_text, update_text = parts
-        if not _LID_RE.fullmatch(lid_text):
-            raise ValueError(f"bad lid field {lid_text!r}")
-        lid = int(lid_text)  # ValueError past the interpreter's digit limit
-        stored_hash = Hash.from_hex(hash_text)
-        known = tip is not None and prev_text == tip.hex
-        prev_hash = tip if known else None if prev_text == ABSENT_PREV else Hash.from_hex(prev_text)
-        update = decode_stored_update(update_text)
+        fields = _RECORD_LINE.fullmatch(line)
+        if fields is None:
+            raise ValueError("record line is not <lid> <hash hex> <prevHash hex or -> <update>")
+        lid, stored_hash, prev_hash, update = fields.groups()
+        return ChainRecord(
+            int(lid),  # ValueError past the interpreter's digit limit
+            stored_hash,
+            None if prev_hash == ABSENT_PREV else prev_hash,
+            decode_stored_update(update),
+        )
     except (ValueError, MalformedBatchError) as exc:
         raise StorageViolation(StorageViolationKind.CORRUPT_RECORD, str(exc), line=lineno) from exc
-    return ChainRecord(lid, stored_hash, prev_hash, update)
 
 
 def _parse_file(raw: bytes, repair: bool) -> Ledger:
     lines = stored_lines(raw, repair)
     ledger = Ledger([], parse_header(next(lines)[1], _HEADER_PREFIX, _HEADER_SUFFIX))
     for lineno, text in lines:
-        ledger.records.append(parse_record_line(text, lineno, ledger.tip_hash))
+        ledger.records.append(parse_record_line(text, lineno))
     return ledger
 
 
@@ -159,10 +159,10 @@ class LedgerFile:
         """Append exactly one record at end-of-file, durable before return.
 
         Rejects, without writing a byte: anything that is not a single
-        ChainRecord (MULTI_RECORD_WRITE), a lid that skips or repeats
-        (LID_GAP), a prevHash that does not match the stored tip
-        (PREV_HASH_MISMATCH), and any out-of-band change to the file since
-        open (NON_APPEND_WRITE).
+        ChainRecord (MULTI_RECORD_WRITE), a hash that is not 64 lowercase
+        hex characters (ValueError), a lid that skips or repeats (LID_GAP),
+        a prevHash that does not match the stored tip (PREV_HASH_MISMATCH),
+        and any out-of-band change to the file since open (NON_APPEND_WRITE).
         """
         if isinstance(record, (list, tuple, Ledger)):
             raise StorageViolation(
@@ -171,6 +171,8 @@ class LedgerFile:
             )
         if not isinstance(record, ChainRecord):
             raise TypeError(f"expected a ChainRecord, got {type(record).__name__}")
+        if not isinstance(record.hash, str) or not re.fullmatch(_HASH, record.hash):
+            raise ValueError(f"record hash is not 64 lowercase hex characters: {record.hash!r}")
         expected_lid = len(self.ledger) + 1
         if record.lid != expected_lid:
             raise StorageViolation(

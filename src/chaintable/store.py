@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .chain import ChainRecord, Ledger, require_valid, seal
+from .chain import ChainRecord, Ledger, seal, verify_chain
 from .encoding import UpdateBatch, render_batch
 from .errors import DuplicateKeyError, StorageFailureError, StoreInconsistentError
 from .storage import LedgerFile
@@ -76,7 +76,7 @@ class ChainTableStore:
         table_path = Path(table_path)
         ledger_file = LedgerFile.open(ledger_path, repair=repair)
         try:
-            require_valid(ledger_file.ledger)
+            verify_chain(ledger_file.ledger)
             keys = {key for record in ledger_file.ledger.records for key in record.update.keys()}
             expected = b"".join(render_data_file(ledger_file.ledger))
             found = table_path.read_bytes()
@@ -121,7 +121,7 @@ class ChainTableStore:
         # Re-verify before sealing, as append_batch does. open verified the
         # chain and only a durable LedgerFile.append grows it, so this costs n
         # hashes that seal alone would not; tests/test_work_counts.py counts them.
-        require_valid(self.ledger)
+        verify_chain(self.ledger)
         record = seal(self.ledger, batch)
         self._ledger_file.append(record)
         self._keys.update(keys)

@@ -40,16 +40,16 @@ def test_in_place_mutation_detected_at_that_lid(worked_file):
     after = worked_file.read_text().splitlines()
     changed = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
     assert changed == [2] and len(before) == len(after)  # exactly one line differs
-    report = verify_chain(load_ledger(worked_file))
-    assert not report.valid
-    assert report.first_invalid_lid == 2
-    assert report.failure_kind is FailureKind.HASH_MISMATCH
+    with pytest.raises(InvalidLedgerError) as excinfo:
+        verify_chain(load_ledger(worked_file))
+    assert (excinfo.value.lid, excinfo.value.kind) == (2, FailureKind.HASH_MISMATCH)
 
 
 def test_in_place_mutation_of_last_record(worked_file):
     tamper_ledger(worked_file, 3, 1, "opt6")
-    report = verify_chain(load_ledger(worked_file))
-    assert report.first_invalid_lid == 3
+    with pytest.raises(InvalidLedgerError) as excinfo:
+        verify_chain(load_ledger(worked_file))
+    assert excinfo.value.lid == 3
 
 
 def test_in_place_mutation_rejects_out_of_range(worked_file):
@@ -62,16 +62,15 @@ def test_in_place_mutation_rejects_out_of_range(worked_file):
 
 def test_partial_rehash_breaks_at_next_lid(worked_file):
     tamper_ledger(worked_file, 2, 1, "opt5", rewrite_through=2)
-    report = verify_chain(load_ledger(worked_file))
-    assert not report.valid
-    assert report.first_invalid_lid == 3
-    assert report.failure_kind is FailureKind.LINK_BREAK
+    with pytest.raises(InvalidLedgerError) as excinfo:
+        verify_chain(load_ledger(worked_file))
+    assert (excinfo.value.lid, excinfo.value.kind) == (3, FailureKind.LINK_BREAK)
 
 
 def test_full_rehash_passes_chain_but_fails_table_check(worked_file):
     tamper_ledger(worked_file, 2, 1, "opt5", rewrite_through=3)
     tampered = load_ledger(worked_file)
-    assert verify_chain(tampered).valid
+    assert verify_chain(tampered) is None
     honest = DataTable("Events", WORKED_HISTORY)
     divergences = verify_against_table(tampered, honest)
     assert divergences
@@ -81,8 +80,8 @@ def test_full_rehash_passes_chain_but_fails_table_check(worked_file):
 def test_last_record_rehash_matches_golden_forged_hash(worked_file, golden):
     tamper_ledger(worked_file, 3, 1, "opt6", rewrite_through=3)
     tampered = load_ledger(worked_file)
-    assert verify_chain(tampered).valid
-    assert tampered.records[2].hash.hex == golden_digest(
+    assert verify_chain(tampered) is None
+    assert tampered.records[2].hash == golden_digest(
         golden, "worked-example-lid-3-tampered-opt6"
     )
     (div,) = verify_against_table(tampered, DataTable("Events", WORKED_HISTORY))
@@ -120,8 +119,9 @@ def test_in_place_detection_at_every_position(tmp_path):
         path = tmp_path / f"k{k}.ctl"
         _write_ledger(path, ledger)
         tamper_ledger(path, k, 1, "forged")
-        report = verify_chain(load_ledger(path))
-        assert not report.valid and report.first_invalid_lid == k
+        with pytest.raises(InvalidLedgerError) as excinfo:
+            verify_chain(load_ledger(path))
+        assert excinfo.value.lid == k
 
 
 def test_partial_rehash_detection_at_every_cut(tmp_path):
@@ -132,8 +132,9 @@ def test_partial_rehash_detection_at_every_cut(tmp_path):
         path = tmp_path / f"m{m}.ctl"
         _write_ledger(path, ledger)
         tamper_ledger(path, 2, 1, "forged", rewrite_through=m)
-        report = verify_chain(load_ledger(path))
-        assert not report.valid and report.first_invalid_lid == m + 1
+        with pytest.raises(InvalidLedgerError) as excinfo:
+            verify_chain(load_ledger(path))
+        assert excinfo.value.lid == m + 1
 
 
 def test_assess_detection_outcomes(worked_file):
@@ -143,8 +144,7 @@ def test_assess_detection_outcomes(worked_file):
     # The chain catches the edit, so the table comparison never runs.
     with pytest.raises(InvalidLedgerError) as excinfo:
         verify_against_table(load_ledger(worked_file), honest_table)
-    assert not excinfo.value.report.valid
-    assert excinfo.value.report.first_invalid_lid == 2
+    assert excinfo.value.lid == 2
 
 
 def test_assess_detection_for_full_rehash(worked_file):

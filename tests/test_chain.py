@@ -10,7 +10,6 @@ from chaintable import (
     ChainRecord,
     DataTable,
     FailureKind,
-    Hash,
     InvalidLedgerError,
     Ledger,
     UpdateBatch,
@@ -62,10 +61,16 @@ def test_append_refuses_invalid_ledger():
         append_batch(ledger, UpdateBatch([UpdateRecord(9, "t9", "x")]))
 
 
+def _failure(ledger: Ledger) -> tuple[int, FailureKind]:
+    """The first failing lid and check of a chain that must fail verification."""
+    with pytest.raises(InvalidLedgerError) as excinfo:
+        verify_chain(ledger)
+    return excinfo.value.lid, excinfo.value.kind
+
+
 def test_verify_empty_and_worked_ledger():
-    assert verify_chain(Ledger()).valid
-    report = verify_chain(build_worked_ledger())
-    assert report.valid and report.first_invalid_lid is None and report.failure_kind is None
+    assert verify_chain(Ledger()) is None
+    assert verify_chain(build_worked_ledger()) is None
 
 
 def test_verify_flags_in_place_update_mutation():
@@ -73,53 +78,41 @@ def test_verify_flags_in_place_update_mutation():
     ledger.records[1] = _with_update(
         ledger.records[1], UpdateBatch([UpdateRecord(2, "t2", "opt5"), UpdateRecord(3, "t3", "opt3")])
     )
-    report = verify_chain(ledger)
-    assert not report.valid
-    assert report.first_invalid_lid == 2
-    assert report.failure_kind is FailureKind.HASH_MISMATCH
+    assert _failure(ledger) == (2, FailureKind.HASH_MISMATCH)
 
 
 def test_verify_flags_lid_gap():
     ledger = build_worked_ledger()
     r = ledger.records[2]
     ledger.records[2] = ChainRecord(4, r.hash, r.prev_hash, r.update)
-    report = verify_chain(ledger)
-    assert report.first_invalid_lid == 3
-    assert report.failure_kind is FailureKind.LID_GAP
+    assert _failure(ledger) == (3, FailureKind.LID_GAP)
 
 
 def test_verify_flags_repeated_lid_as_gap():
     ledger = build_worked_ledger()
     ledger.records.append(ledger.records[2])
-    report = verify_chain(ledger)
-    assert report.first_invalid_lid == 4
-    assert report.failure_kind is FailureKind.LID_GAP
+    assert _failure(ledger) == (4, FailureKind.LID_GAP)
 
 
 def test_verify_flags_genesis_violation():
     ledger = build_worked_ledger()
     r1 = ledger.records[0]
-    ledger.records[0] = ChainRecord(1, r1.hash, Hash(b"\x01" * 32), r1.update)
-    report = verify_chain(ledger)
-    assert report.first_invalid_lid == 1
-    assert report.failure_kind is FailureKind.GENESIS_VIOLATION
+    ledger.records[0] = ChainRecord(1, r1.hash, "01" * 32, r1.update)
+    assert _failure(ledger) == (1, FailureKind.GENESIS_VIOLATION)
 
 
 def test_verify_flags_link_break():
     ledger = build_worked_ledger()
     r3 = ledger.records[2]
-    ledger.records[2] = ChainRecord(3, r3.hash, Hash(b"\x02" * 32), r3.update)
-    report = verify_chain(ledger)
-    assert report.first_invalid_lid == 3
-    assert report.failure_kind is FailureKind.LINK_BREAK
+    ledger.records[2] = ChainRecord(3, r3.hash, "02" * 32, r3.update)
+    assert _failure(ledger) == (3, FailureKind.LINK_BREAK)
 
 
 def test_verify_reports_first_failure_only():
     ledger = build_worked_ledger()
     ledger.records[0] = _with_update(ledger.records[0], UpdateBatch([UpdateRecord(1, "t1", "zz")]))
     ledger.records[2] = _with_update(ledger.records[2], UpdateBatch([UpdateRecord(1, "t4", "zz")]))
-    report = verify_chain(ledger)
-    assert report.first_invalid_lid == 1
+    assert _failure(ledger) == (1, FailureKind.HASH_MISMATCH)
 
 
 def test_reconstruct_worked_history():
@@ -229,7 +222,7 @@ def test_materialize_equals_latest_per_opid_of_reconstruct(batches):
     ledger = Ledger()
     for batch in batches:
         append_batch(ledger, batch)
-    assert verify_chain(ledger).valid
+    assert verify_chain(ledger) is None
     latest = {}
     for row in reconstruct(ledger).rows:
         latest[row.opid] = row
@@ -254,7 +247,4 @@ def test_single_update_mutation_is_always_detected(batches, seed):
         + list(target.update.records[1:])
     )
     ledger.records[index] = _with_update(target, mutated)
-    report = verify_chain(ledger)
-    assert not report.valid
-    assert report.first_invalid_lid == index + 1
-    assert report.failure_kind is FailureKind.HASH_MISMATCH
+    assert _failure(ledger) == (index + 1, FailureKind.HASH_MISMATCH)

@@ -63,7 +63,7 @@ def test_append_reports_lid_and_hash(paths):
     assert code == 0
     payload = json.loads(out)
     assert payload["lid"] == 1 and payload["prev_hash"] is None
-    assert payload["hash"] == load_ledger(ledger).records[0].hash.hex
+    assert payload["hash"] == load_ledger(ledger).records[0].hash
 
 
 def test_fresh_store_status_and_reconstruct(paths, tmp_path):

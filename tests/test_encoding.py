@@ -7,7 +7,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chaintable import (
-    Hash,
     MalformedBatchError,
     StorageViolation,
     StorageViolationKind,
@@ -92,32 +91,6 @@ def test_batch_rejects_duplicate_keys_within_batch():
 def test_batch_allows_same_opid_different_timestamp():
     batch = UpdateBatch([UpdateRecord(1, "t1", "a"), UpdateRecord(1, "t2", "b")])
     assert len(batch) == 2
-
-
-def test_hash_hex_round_trip():
-    h = Hash(bytes(range(32)))
-    assert len(h.hex) == 64
-    assert Hash.from_hex(h.hex) == h
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["", "00" * 31, "00" * 33, "G" * 64, ("a" * 63) + "A", "0x" + "a" * 62],
-)
-def test_hash_from_hex_rejects_non_canonical(text):
-    with pytest.raises(ValueError):
-        Hash.from_hex(text)
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["AB" * 32, "ab" * 31 + "a", "ab" * 32 + "a", "ab" * 32 + "\n", "\u0663" * 64, "\uff11" * 64],
-    ids=["upper-case", "63 chars", "65 chars", "trailing newline", "arabic digits", "fullwidth"],
-)
-def test_hash_from_hex_accepts_only_64_lowercase_ascii_hex_digits(text):
-    with pytest.raises(ValueError):
-        Hash.from_hex(text)
-    assert Hash.from_hex("ab" * 32).digest == b"\xab" * 32
 
 
 def test_decode_record_requires_exact_keys():

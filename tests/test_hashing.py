@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_sha256
-from chaintable import Hash, UpdateBatch, UpdateRecord, compute_hash
+from chaintable import UpdateBatch, UpdateRecord, compute_hash
 from conftest import WORKED_BATCHES, build_worked_ledger, golden_digest
 
 
@@ -34,12 +34,12 @@ def test_compute_hash_matches_goldens(golden):
     ledger = build_worked_ledger()
     labels = ("worked-example-lid-1", "worked-example-lid-2", "worked-example-lid-3")
     for record, label in zip(ledger.records, labels):
-        assert record.hash.hex == golden_digest(golden, label)
+        assert record.hash == golden_digest(golden, label)
 
 
 def test_genesis_preimage_has_empty_third_segment(golden):
     h = compute_hash(1, WORKED_BATCHES[0], None)
-    assert h.hex == golden_digest(golden, "worked-example-lid-1")
+    assert h == golden_digest(golden, "worked-example-lid-1")
     # The same call with a prev hash present must differ.
     assert compute_hash(1, WORKED_BATCHES[0], h) != h
 
@@ -49,14 +49,14 @@ def test_tampered_update_changes_hash(golden):
     h2 = ledger.records[1].hash
     honest = compute_hash(3, UpdateBatch([UpdateRecord(1, "t4", "opt4")]), h2)
     tampered = compute_hash(3, UpdateBatch([UpdateRecord(1, "t4", "opt6")]), h2)
-    assert honest.hex == golden_digest(golden, "worked-example-lid-3")
-    assert tampered.hex == golden_digest(golden, "worked-example-lid-3-tampered-opt6")
+    assert honest == golden_digest(golden, "worked-example-lid-3")
+    assert tampered == golden_digest(golden, "worked-example-lid-3-tampered-opt6")
     assert honest != tampered
 
 
 def test_compute_hash_is_deterministic():
     batch = UpdateBatch([UpdateRecord(4, "t7", "x")])
-    prev = Hash(b"\x11" * 32)
+    prev = "11" * 32
     assert compute_hash(5, batch, prev) == compute_hash(5, batch, prev)
 
 
@@ -78,7 +78,7 @@ _text = st.text(
     description=st.one_of(st.none(), _text),
 )
 def test_any_single_field_change_changes_hash(lid, opid, timestamp, description):
-    prev = Hash(b"\x22" * 32)
+    prev = "22" * 32
     base = compute_hash(lid, UpdateBatch([UpdateRecord(opid, timestamp, description)]), prev)
     variants = [
         compute_hash(lid + 1, UpdateBatch([UpdateRecord(opid, timestamp, description)]), prev),

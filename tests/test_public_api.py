@@ -12,7 +12,6 @@ PUBLIC_NAMES = [
     "DuplicateKeyError",
     "FailureKind",
     "HASH_ALGORITHM",
-    "Hash",
     "InvalidLedgerError",
     "Ledger",
     "LedgerFile",
@@ -26,7 +25,6 @@ PUBLIC_NAMES = [
     "StoreMismatchError",
     "UpdateBatch",
     "UpdateRecord",
-    "VerificationReport",
     "__version__",
     "append_batch",
     "canonical_encode_update",
@@ -48,7 +46,7 @@ PUBLIC_NAMES = [
 
 def test_all_is_exactly_the_pinned_names():
     assert sorted(chaintable.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 39
+    assert len(PUBLIC_NAMES) == 37
 
 
 def test_every_public_name_resolves():
@@ -57,7 +55,16 @@ def test_every_public_name_resolves():
 
 
 def test_deleted_wrappers_stay_deleted():
-    # Replay returns a row tuple and the table check a divergence tuple; the
+    # Replay returns a row tuple, the table check a divergence tuple, a hash
+    # is its hex text and a broken chain raises InvalidLedgerError; the
     # wrappers that only repackaged them are gone and must not come back.
-    for name in ("ActualView", "AttackOutcome", "ConsistencyReport", "assess_detection"):
+    for name in (
+        "ActualView",
+        "AttackOutcome",
+        "ConsistencyReport",
+        "assess_detection",
+        "Hash",
+        "VerificationReport",
+    ):
         assert not hasattr(chaintable, name), name
+    assert not hasattr(chaintable.Ledger, "copy")

@@ -1,16 +1,25 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and no module-level name is left that nothing refers to.
 
-A deletion that leaves its import behind fails here. __init__.py is skipped,
-since its imports are the public re-exports. A name counts as used wherever
-it appears, a TYPE_CHECKING block included, and inside a string annotation.
+A deletion that leaves its import behind, or a helper or pattern it no longer
+needs, fails here. __init__.py is skipped, since its imports are the public
+re-exports. An import counts as used wherever the name appears, a
+TYPE_CHECKING block included, and inside a string annotation. A module-level
+name counts as referenced by code outside its own definition, in src/ or
+perfbench/ (whose tracer names layers as "module.function" strings), or by
+being in __all__.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
+import chaintable
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "chaintable"
+PERFBENCH = SRC.parent.parent / "perfbench"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
 
 
@@ -59,3 +68,87 @@ def test_scan_finds_an_unused_import_and_counts_annotation_uses():
         "    return os.sep, Used\n"
     )
     assert unused_imports(source) == ["re", "Gone"]
+
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Identifiers tree refers to outside skip: names, attributes, imported
+    names and the parts of a dotted-name string."""
+    found: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _DOTTED.fullmatch(node.value):
+                found.update(node.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) for each function, class and assignment at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from ((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def unreferenced_names(modules: dict[str, str], others: list[str], exported: set[str]) -> list[str]:
+    """module:name for each module-level name of modules that nothing refers
+    to: not the rest of its module, another module, others or exported."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    references = {module: _references(tree) for module, tree in trees.items()}
+    outside = set(exported).union(*(_references(ast.parse(source)) for source in others))
+    orphans = []
+    for module, tree in trees.items():
+        elsewhere = outside.union(*(refs for m, refs in references.items() if m != module))
+        for name, node in _definitions(tree):
+            if name not in elsewhere and name not in _references(tree, skip=node):
+                orphans.append(f"{module}:{name}")
+    return orphans
+
+
+def test_every_module_level_name_is_referenced():
+    modules = {module: (SRC / module).read_text(encoding="utf-8") for module in MODULES}
+    others = [(SRC / "__init__.py").read_text(encoding="utf-8")]
+    others += [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.glob("*.py"))]
+    assert unreferenced_names(modules, others, set(chaintable.__all__)) == []
+
+
+def test_scan_finds_a_name_nothing_references():
+    modules = {
+        "a.py": (
+            "import re\n"
+            "_PART = 'x'\n"
+            "_USED = re.compile(f'{_PART}+')\n"
+            "_GONE = 1\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "def traced():\n"
+            "    return _USED\n"
+            "class Exported:\n"
+            "    pass\n"
+            "def imported():\n"
+            "    pass\n"
+        ),
+        "b.py": "from .a import imported\ndef main() -> 'Quoted':\n    return imported()\n",
+    }
+    others = ["TRACED = ('a.traced',)\n"]
+    assert unreferenced_names(modules, others, {"Exported"}) == [
+        "a.py:_GONE",
+        "a.py:recursive",
+        "b.py:main",
+    ]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from chaintable import (
     ChainRecord,
-    Hash,
+    InvalidLedgerError,
     Ledger,
     LedgerFile,
     LockError,
@@ -72,7 +72,7 @@ def test_append_and_load_round_trip(tmp_path):
     assert [render_record(r) for r in loaded.records] == [
         render_record(r) for r in ledger.records
     ]
-    assert verify_chain(loaded).valid
+    assert verify_chain(loaded) is None
 
 
 def test_append_rejects_lid_gap_without_writing(tmp_path):
@@ -99,12 +99,28 @@ def test_append_rejects_prev_hash_mismatch_without_writing(tmp_path):
         lf.append(ledger.records[0])
         lf.append(ledger.records[1])
         before = path.read_bytes()
-        bad_prev = Hash(b"\x03" * 32)
+        bad_prev = "03" * 32
         forged = ChainRecord(3, compute_hash(3, WORKED_BATCHES[2], bad_prev), bad_prev, WORKED_BATCHES[2])
         with pytest.raises(StorageViolation) as excinfo:
             lf.append(forged)
         assert excinfo.value.kind is StorageViolationKind.PREV_HASH_MISMATCH
         assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "spoil", [str.upper, lambda h: h[:-1], bytes.fromhex], ids=["upper-case", "63 chars", "bytes"]
+)
+def test_append_refuses_a_hash_that_is_not_lowercase_hex(tmp_path, spoil):
+    path = tmp_path / "l.ctl"
+    ledger = build_worked_ledger()
+    with LedgerFile.create(path, "Events") as lf:
+        lf.append(ledger.records[0])
+        before = path.read_bytes()
+        record = ledger.records[1]
+        with pytest.raises(ValueError):
+            lf.append(ChainRecord(2, spoil(record.hash), record.prev_hash, record.update))
+        assert path.read_bytes() == before and len(lf.ledger) == 1
+        lf.append(record)
 
 
 def test_append_rejects_multi_record_payload(tmp_path):
@@ -145,8 +161,9 @@ def test_load_returns_chain_invalid_ledger(tmp_path):
     lines[2] = lines[2].replace("opt2", "opt5")
     path.write_text("\n".join(lines) + "\n")
     loaded = load_ledger(path)  # loads fine; verification is a separate step
-    report = verify_chain(loaded)
-    assert not report.valid and report.first_invalid_lid == 2
+    with pytest.raises(InvalidLedgerError) as excinfo:
+        verify_chain(loaded)
+    assert excinfo.value.lid == 2
 
 
 def test_load_reports_partial_final_line(tmp_path):
@@ -160,7 +177,7 @@ def test_load_reports_partial_final_line(tmp_path):
     assert excinfo.value.line == 4
     # The repair flag drops exactly the unacknowledged tail.
     repaired = load_ledger(path, repair=True)
-    assert len(repaired) == 2 and verify_chain(repaired).valid
+    assert len(repaired) == 2 and verify_chain(repaired) is None
 
 
 def test_open_with_repair_truncates_partial_tail(tmp_path):
@@ -359,6 +376,42 @@ def test_parse_record_line_agrees_with_the_parser_it_replaced(line, lineno):
     assert len(record.update) == len(expected.update.records)
 
 
+# Texts that are not 64 lowercase ASCII hex digits, each refused once as the
+# hash and once as the prevHash of a good line; "-" is refused as a hash.
+_BAD_HASHES = {
+    "upper-case": "AB" * 32,
+    "mixed-case": "a" * 63 + "A",
+    "62 chars": "00" * 31,
+    "63 chars": "ab" * 31 + "a",
+    "65 chars": "ab" * 32 + "a",
+    "66 chars": "00" * 33,
+    "trailing newline": "ab" * 32 + "\n",
+    "arabic digits": "\u0663" * 64,
+    "fullwidth": "\uff11" * 64,
+    "0x": "0x" + "a" * 62,
+    "G": "G" * 64,
+    "empty": "",
+}
+_BAD_HASH_FIELDS = [
+    *(
+        pytest.param(field, text, id=f"{name}-{label}")
+        for field, name in ((1, "hash"), (2, "prevHash"))
+        for label, text in _BAD_HASHES.items()
+    ),
+    pytest.param(1, "-", id="hash-dash"),
+]
+
+
+@pytest.mark.parametrize("field, text", _BAD_HASH_FIELDS)
+def test_parse_record_line_refuses_a_bad_hash_field(field, text):
+    fields = ["7", "ab" * 32, "cd" * 32, '[{"opid":1,"timestamp":"t1","description":null}]']
+    assert parse_record_line(" ".join(fields), 5).prev_hash == "cd" * 32
+    fields[field] = text
+    with pytest.raises(StorageViolation) as excinfo:
+        parse_record_line(" ".join(fields), 5)
+    assert (excinfo.value.kind, excinfo.value.line) == (StorageViolationKind.CORRUPT_RECORD, 5)
+
+
 @pytest.mark.parametrize(
     "update",
     [
@@ -390,7 +443,7 @@ def test_file_prefix_is_invariant_across_appends(tmp_path):
             after = path.read_bytes()
             assert after.startswith(before)
             assert len(after) > len(before)
-    assert verify_chain(load_ledger(path)).valid
+    assert verify_chain(load_ledger(path)) is None
 
 
 # Opens the ledger at argv[1], fails one append on RLIMIT_FSIZE (set in this
@@ -398,13 +451,13 @@ def test_file_prefix_is_invariant_across_appends(tmp_path):
 # appends the same record again; prints the failed append's errno.
 _FAILED_APPEND_CHILD = """
 import os, resource, sys
-from chaintable import LedgerFile, UpdateBatch, UpdateRecord, append_batch
+from chaintable import Ledger, LedgerFile, UpdateBatch, UpdateRecord, append_batch
 
 path, then = sys.argv[1], sys.argv[2]
 hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
 with LedgerFile.open(path) as lf:
     batch = UpdateBatch([UpdateRecord(9, "t9", "after a failed write")])
-    record = append_batch(lf.ledger.copy(), batch)
+    record = append_batch(Ledger(list(lf.ledger.records)), batch)
     resource.setrlimit(resource.RLIMIT_FSIZE, (os.path.getsize(path) + 20, hard))
     try:
         lf.append(record)
@@ -438,6 +491,6 @@ def test_failed_append_leaves_no_bytes_queued(tmp_path, then):
         return
     record = append_batch(ledger, UpdateBatch([UpdateRecord(9, "t9", "after a failed write")]))
     loaded = load_ledger(path)
-    assert verify_chain(loaded).valid
+    assert verify_chain(loaded) is None
     assert loaded.records == ledger.records
     assert path.read_bytes() == before + (render_record(record) + "\n").encode("utf-8")
