@@ -95,6 +95,7 @@ class ChainTableStore:
 
     @property
     def ledger(self) -> Ledger:
+        """The verified history; callers must not mutate it."""
         return self._ledger_file.ledger
 
     @property
@@ -108,7 +109,9 @@ class ChainTableStore:
         return self.ledger.name  # type: ignore[return-value]
 
     def append(self, batch: UpdateBatch) -> ChainRecord:
-        """Durably apply one batch to ledger then table; returns the record."""
+        """Durably apply one batch to ledger then table; returns the record.
+        One hash and two fsyncs at any history length: open verified the
+        chain, and only LedgerFile.append grows it, after its checks."""
         if self._broken:
             raise StorageFailureError(
                 "a previous append failed after the ledger committed; reopen "
@@ -118,10 +121,6 @@ class ChainTableStore:
         if not self._keys.isdisjoint(keys):
             clashes = [row.key for row, key in zip(batch, keys) if key in self._keys]
             raise DuplicateKeyError(f"(opid, timestamp) already present in table: {clashes}")
-        # Re-verify before sealing, as append_batch does. open verified the
-        # chain and only a durable LedgerFile.append grows it, so this costs n
-        # hashes that seal alone would not; tests/test_work_counts.py counts them.
-        verify_chain(self.ledger)
         record = seal(self.ledger, batch)
         self._ledger_file.append(record)
         self._keys.update(keys)

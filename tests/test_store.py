@@ -20,6 +20,7 @@ from chaintable import (
     read_data_file,
     reconstruct,
     verify_against_table,
+    verify_chain,
 )
 from chaintable.encoding import render_batch
 from conftest import WORKED_BATCHES, WORKED_HISTORY, invoke_cli, random_op_sequence
@@ -94,6 +95,27 @@ def test_reopen_continues_the_chain(tmp_path):
         record = store.append(UpdateBatch([UpdateRecord(4, "t6", "x")]))
         assert record.lid == 4
     assert len(load_ledger(ledger_path)) == 4
+
+
+@pytest.mark.parametrize("n", (0, 1, 30))
+def test_the_file_holds_the_writers_ledger_across_appends_and_a_reopen(tmp_path, n):
+    ledger_path, table_path = _paths(tmp_path)
+    with ChainTableStore.create(ledger_path, table_path, "Events") as store:
+        for i in range(1, n + 1):
+            store.append(UpdateBatch([UpdateRecord(i, f"t{i}", f"d{i}")]))
+    batches = [
+        UpdateBatch([UpdateRecord(j, f"new{i}", None if j == 2 else f"x{i}") for j in range(1, i % 3 + 2)])
+        for i in range(6)
+    ]
+    for half in (batches[:3], batches[3:]):  # a close and reopen between the halves
+        with ChainTableStore.open(ledger_path, table_path) as store:
+            for batch in half:
+                store.append(batch)
+            assert load_ledger(ledger_path).records == store.ledger.records
+    assert len(store.ledger) == n + 6
+    assert verify_chain(load_ledger(ledger_path)) is None
+    code, _, err = invoke_cli(["verify", "--ledger", ledger_path, "--table", table_path])
+    assert code == 0, err
 
 
 def test_open_replays_missing_table_suffix(tmp_path):

@@ -1,5 +1,6 @@
-"""Exact work per CLI command on an n-record store: hashes computed, ledger
-lines parsed, batches encoded, data-file rows decoded and rows built.
+"""Exact work per CLI command on an n-record store: ledger loads, chain
+verifications, hashes computed, ledger lines parsed, batches encoded,
+data-file rows decoded and rows built.
 Counts, not timings, so a redundant pass fails deterministically."""
 
 from collections import Counter
@@ -11,6 +12,7 @@ import chaintable.chain
 import chaintable.cli
 import chaintable.encoding
 import chaintable.storage
+import chaintable.store
 import chaintable.table
 from chaintable import (
     ChainTableStore,
@@ -33,28 +35,39 @@ def _store(tmp_path, n):
     return ledger, table
 
 
+def _count(monkeypatch, calls, module, name):
+    """From here on, count calls to module.name in calls[name]."""
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
 def _counting(monkeypatch):
     """Count compute_hash, parse_record_line, canonical batch encodes (the
     one function that encodes rows into an UpdateBatch's bytes), data-file row
     decodes and rows built (the one function that turns checked row values
     into an UpdateRecord) from here on."""
     calls = Counter()
+    _count(monkeypatch, calls, chaintable.chain, "compute_hash")
+    _count(monkeypatch, calls, chaintable.attack, "compute_hash")
+    _count(monkeypatch, calls, chaintable.storage, "parse_record_line")
+    _count(monkeypatch, calls, chaintable.encoding, "_encode_records")
+    _count(monkeypatch, calls, chaintable.table, "decode_record")
+    _count(monkeypatch, calls, chaintable.encoding, "_row_record")
+    return calls
 
-    def count(module, name):
-        original = getattr(module, name)
 
-        def counting(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
-
-    count(chaintable.chain, "compute_hash")
-    count(chaintable.attack, "compute_hash")
-    count(chaintable.storage, "parse_record_line")
-    count(chaintable.encoding, "_encode_records")
-    count(chaintable.table, "decode_record")
-    count(chaintable.encoding, "_row_record")
+def _loads_and_verifies(monkeypatch):
+    """Count ledger loads (the one function that parses a ledger file's bytes)
+    and verify_chain calls, under every name that calls it, from here on."""
+    calls = Counter()
+    _count(monkeypatch, calls, chaintable.storage, "_parse_file")
+    for module in (chaintable.chain, chaintable.store, chaintable.cli):
+        _count(monkeypatch, calls, module, "verify_chain")
     return calls
 
 
@@ -67,13 +80,14 @@ def _counted(monkeypatch, argv, stdin_text=None):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_append_parses_once_and_hashes_2n_plus_1(tmp_path, monkeypatch, n):
+def test_append_parses_once_and_hashes_n_plus_1(tmp_path, monkeypatch, n):
     ledger, table = _store(tmp_path, n)
     batch = '[{"opid":1,"timestamp":"new","description":"x"}]'
     argv = ["append", "--ledger", ledger, "--table", table]
+    # Hashes: open verifies n, then the new record's one.
     # Encodes: the new batch once; a parsed line is checked by pattern and
     # encodes nothing, and hashing and rendering reuse the kept bytes.
-    assert _counted(monkeypatch, argv, batch) == (2 * n + 1, n, 1)
+    assert _counted(monkeypatch, argv, batch) == (n + 1, n, 1)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -82,8 +96,8 @@ def test_in_session_append_encodes_only_the_new_batch(tmp_path, monkeypatch, n):
     with ChainTableStore.open(ledger, table) as store:
         calls = _counting(monkeypatch)
         store.append(UpdateBatch([UpdateRecord(1, "new", "x")]))
-    # Hashes: the store still re-verifies its n records before sealing one.
-    assert (calls["compute_hash"], calls["_encode_records"]) == (n + 1, 1)
+    # One hash: the new record's.
+    assert (calls["compute_hash"], calls["_encode_records"]) == (1, 1)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -157,6 +171,53 @@ def test_open_parses_and_hashes_each_record_once_and_encodes_none(tmp_path, monk
     ChainTableStore.open(ledger, table).close()
     # Keys come from each batch's kept bytes, so open decodes and encodes none.
     assert (calls["compute_hash"], calls["parse_record_line"], calls["_encode_records"]) == (n, n, 0)
+
+
+# (ledger loads, chain verifications) per CLI command.
+LOADS_AND_VERIFIES = {
+    "append": (1, 1),
+    "verify": (1, 1),
+    "verify --table": (1, 1),
+    "reconstruct": (1, 1),
+    "materialize": (1, 1),
+    "status": (1, 0),
+    "tamper --scenario 2": (1, 0),
+}
+
+
+@pytest.mark.parametrize(
+    ("command", "n"),
+    # tamper --scenario 2 forges the last record, so it needs one.
+    [(command, n) for command in LOADS_AND_VERIFIES for n in SIZES if n or command != "tamper --scenario 2"],
+)
+def test_each_command_loads_the_ledger_once_and_verifies_it_at_most_once(
+    tmp_path, monkeypatch, command, n
+):
+    ledger, table = _store(tmp_path, n)
+    argv = {
+        "append": ["append", "--ledger", ledger, "--table", table],
+        "verify": ["verify", "--ledger", ledger],
+        "verify --table": ["verify", "--ledger", ledger, "--table", table],
+        "reconstruct": ["reconstruct", "--ledger", ledger, "--out", tmp_path / "rebuilt.ctd"],
+        "materialize": ["materialize", "--ledger", ledger],
+        "status": ["status", "--ledger", ledger],
+        "tamper --scenario 2": ["tamper", "--ledger", ledger, "--scenario", "2", "--set", "x"],
+    }[command]
+    batch = '[{"opid":1,"timestamp":"new","description":"x"}]' if command == "append" else None
+    calls = _loads_and_verifies(monkeypatch)
+    code, _, err = invoke_cli(argv, batch)
+    assert code == 0, err
+    assert (calls["_parse_file"], calls["verify_chain"]) == LOADS_AND_VERIFIES[command]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_open_loads_and_verifies_once_and_an_append_does_neither(tmp_path, monkeypatch, n):
+    ledger, table = _store(tmp_path, n)
+    calls = _loads_and_verifies(monkeypatch)
+    with ChainTableStore.open(ledger, table) as store:
+        assert (calls["_parse_file"], calls["verify_chain"]) == (1, 1)
+        store.append(UpdateBatch([UpdateRecord(1, "new", "x")]))
+        assert (calls["_parse_file"], calls["verify_chain"]) == (1, 1)
 
 
 @pytest.mark.parametrize("n", SIZES)
