@@ -21,9 +21,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .encoding import UpdateBatch, UpdateRecord, canonical_encode_update
+from .encoding import UpdateBatch, UpdateRecord, canonical_encode_update, decode_rows, row_texts
 from .errors import InvalidLedgerError, MalformedBatchError
-from .table import DataTable, replay_rows
+from .table import DataTable
 
 HASH_ALGORITHM = "double-sha256-v1"
 
@@ -148,13 +148,17 @@ def reconstruct(ledger: Ledger) -> DataTable:
     return DataTable(name="reconstructed", rows=rows)
 
 
-def materialize(ledger: Ledger) -> tuple[UpdateRecord, ...]:
-    """Replay a valid ledger into the current per-opid state, in opid order.
+def materialize_rows(ledger: Ledger) -> list[bytes]:
+    """Verify a ledger once; then its last row text per opid (lid, then batch order), by opid."""
+    verify_chain(ledger)
+    last = {int(row[: row.index(b",")]): row for r in ledger.records for row in row_texts(r.update)}
+    return [last[opid] for opid in sorted(last)]
 
-    The last-replayed record per opid wins (lid order, then within-batch
-    order); a null description stays visible as a tombstone.
-    """
-    return replay_rows(reconstruct(ledger).rows)
+
+def materialize(ledger: Ledger) -> tuple[UpdateRecord, ...]:
+    """The current per-opid state of a valid ledger: the rows of materialize_rows,
+    decoded, and only those. A null description stays visible as a tombstone."""
+    return decode_rows(materialize_rows(ledger))
 
 
 def compare_rows(

@@ -15,11 +15,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from .attack import forge, measure_rewrite_cascade, overwrite_ledger
-from .chain import Divergence, compare_rows, materialize, verify_chain
-from .encoding import encode_record, parse_batch_input, record_as_dict
+from .chain import Divergence, compare_rows, materialize_rows, verify_chain
+from .encoding import decode_rows, encode_record, join_rows, parse_batch_input, record_as_dict
 from .errors import (
     ChainTableError,
     DuplicateKeyError,
@@ -172,25 +172,24 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_materialize(args: argparse.Namespace) -> int:
-    view = materialize(load_ledger(args.ledger))
+    rows = materialize_rows(load_ledger(args.ledger))
     _refuse_out_on_ledger(args)
-    entries = None  # each form of the view is built only if printed or written
     if args.json or args.out is not None:
-        entries = [{**record_as_dict(e), "deleted": e.is_deletion} for e in view]
+        # A row text is what json.dumps writes for its row: "deleted" is spliced in.
+        deleted = (b',"deleted":false', b',"deleted":true')
+        view = join_rows([row + deleted[row.endswith(b":null")] for row in rows])
     if args.out is not None:
-        rendered = json.dumps(entries, separators=(",", ":"), ensure_ascii=False) + "\n"
-        replace_file(args.out, [rendered.encode("utf-8")])
-
-    def lines() -> Iterator[str]:
-        for e in view:
-            if e.is_deletion:
-                yield f"opid {e.opid}: deleted (tombstone at timestamp {e.timestamp})"
-            else:
-                yield f"opid {e.opid}: timestamp={e.timestamp} description={e.description}"
-        if args.out is not None:
-            yield f"wrote {len(view)} entries to {args.out}"
-
-    _emit(args, {"view": entries, "out": None if args.out is None else str(args.out)}, lines())
+        replace_file(args.out, [view + b"\n"])
+    if args.json:
+        print(f'{{"view":{view.decode()},"out":{json.dumps(args.out, ensure_ascii=False)}}}')
+        return EXIT_OK
+    for e in decode_rows(rows):
+        if e.is_deletion:
+            print(f"opid {e.opid}: deleted (tombstone at timestamp {e.timestamp})")
+        else:
+            print(f"opid {e.opid}: timestamp={e.timestamp} description={e.description}")
+    if args.out is not None:
+        print(f"wrote {len(rows)} entries to {args.out}")
     return EXIT_OK
 
 

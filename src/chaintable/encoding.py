@@ -40,6 +40,7 @@ _CANONICAL_UPDATE = re.compile(rf"\[{_ROW}(?:,{_ROW})*+\]")
 _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, check_circular=False)
 # Decodes a batch's kept bytes, which passed every rule, straight into rows.
 _ROWS = json.JSONDecoder(object_hook=lambda row: _row_record(row))
+_BOUNDARY = b'},{"opid":'  # only between rows, as a " in a JSON string is escaped
 
 
 def _check_row(opid: Any, timestamp: Any, description: Any) -> None:
@@ -120,17 +121,14 @@ class UpdateBatch:
         return self._records  # type: ignore[return-value]
 
     def keys(self) -> list[bytes]:
-        """Each row's opid and timestamp as canonical text, so equal texts are equal
-        keys. A " inside a string is escaped, so only a row starts with {"opid":,
-        and the next ,"description": ends its key."""
-        return [r.partition(b',"description":')[0] for r in self._encoded.split(b'{"opid":')[1:]]
+        """Each row's opid and timestamp as canonical text, so equal texts are equal keys."""
+        return [row.partition(b',"description":')[0] for row in row_texts(self)]
 
     def __iter__(self) -> Iterator[UpdateRecord]:
         return iter(self.records)
 
     def __len__(self) -> int:
-        # Rows counted at record boundaries, which render_batch splits at.
-        return self._encoded.count(b'},{"opid":') + 1
+        return self._encoded.count(_BOUNDARY) + 1
 
 
 def record_as_dict(record: UpdateRecord) -> dict[str, Any]:
@@ -157,11 +155,25 @@ def canonical_encode_update(batch: UpdateBatch) -> bytes:
     return batch._encoded
 
 
+def row_texts(batch: UpdateBatch) -> list[bytes]:
+    """Each row of a batch as its canonical text between {"opid": and the closing }."""
+    return batch._encoded[9:-2].split(_BOUNDARY)
+
+
+def join_rows(rows: Sequence[bytes]) -> bytes:
+    """The JSON array of the record objects of row texts (see row_texts)."""
+    return b'[{"opid":' + _BOUNDARY.join(rows) + b"}]" if rows else b"[]"
+
+
+def decode_rows(rows: Sequence[bytes]) -> tuple[UpdateRecord, ...]:
+    """Records of checked row texts (see row_texts), decoded 1000 at a time to bound memory."""
+    chunks = (join_rows(rows[i : i + 1000]).decode() for i in range(0, len(rows), 1000))
+    return tuple(record for chunk in chunks for record in _ROWS.decode(chunk))
+
+
 def render_batch(batch: UpdateBatch) -> bytes:
-    """Data-file lines of a batch, from its kept bytes: the outer [ ] dropped
-    and a line break at every },{"opid": -- only a record boundary can hold
-    that, as a " inside a JSON string is always escaped."""
-    return batch._encoded[1:-1].replace(b'},{"opid":', b'}\n{"opid":') + b"\n"
+    """Data-file lines of a batch: one record object per row text."""
+    return b'{"opid":' + b'}\n{"opid":'.join(row_texts(batch)) + b"}\n"
 
 
 def _checked_row(obj: Any) -> dict[str, Any]:
@@ -201,13 +213,14 @@ def decode_update(text: str | bytes) -> UpdateBatch:
     return _batch_from_value(_json_value(text))
 
 
-def decode_stored_update(text: str) -> UpdateBatch:
-    """The batch of a canonical text, by the one rule for a batch's bytes: the
-    canonical pattern, then no key twice. Decodes no JSON and builds no row."""
+def decode_stored_update(text: str, encoded: bytes | None = None) -> UpdateBatch:
+    """The batch of a canonical text (and its UTF-8 bytes, if the caller holds
+    them), by the one rule for a batch's bytes: the canonical pattern, which admits
+    no lone surrogate, then no key twice. Decodes no JSON and builds no row."""
     if not _CANONICAL_UPDATE.fullmatch(text):
         raise MalformedBatchError("update is not in canonical form")
     batch = object.__new__(UpdateBatch)
-    object.__setattr__(batch, "_encoded", text.encode("utf-8"))  # no lone surrogate
+    object.__setattr__(batch, "_encoded", text.encode("utf-8") if encoded is None else encoded)
     object.__setattr__(batch, "_records", None)
     if len(batch) > 1 and len(set(keys := batch.keys())) < len(keys):
         twice = next(key for i, key in enumerate(keys) if key in keys[:i]).decode("utf-8")

@@ -15,8 +15,8 @@ Loading splits lines and reads the header by the rules the data file shares
 (table.stored_lines, table.parse_header); only the ledger's repair drops a
 torn final line. Each record line is checked once, building no rows: one
 pattern splits it into a lid, a hash and a prevHash (hashes stay the stored
-hex text), then the update is checked by the canonical-form pattern and no
-key twice (encoding.decode_stored_update); a line that fails is corrupt.
+hex text), then the update, kept as the line's own bytes, is checked by the
+canonical-form pattern and no key twice (encoding.decode_stored_update).
 """
 
 from __future__ import annotations
@@ -60,8 +60,11 @@ def render_record(record: ChainRecord) -> str:
     return f"{record.lid} {record.hash} {prev} {update}"
 
 
-def parse_record_line(line: str, lineno: int) -> ChainRecord:
-    """Parse one record line; any deviation from what render_record writes is corrupt."""
+def parse_record_line(
+    line: str, lineno: int, data: bytes | None = None, tip: str | None = None
+) -> ChainRecord:
+    """Parse one record line; any deviation from what render_record writes is corrupt.
+    The update is sliced from data (the line's bytes) if given; a prevHash equal to tip is tip."""
     try:
         fields = _RECORD_LINE.fullmatch(line)
         if fields is None:
@@ -70,8 +73,9 @@ def parse_record_line(line: str, lineno: int) -> ChainRecord:
         return ChainRecord(
             int(lid),  # ValueError past the interpreter's digit limit
             stored_hash,
-            None if prev_hash == ABSENT_PREV else prev_hash,
-            decode_stored_update(update),
+            None if prev_hash == ABSENT_PREV else tip if prev_hash == tip else prev_hash,
+            # lid, hash and prevHash are ASCII: the update has the same offset in data.
+            decode_stored_update(update, None if data is None else data[fields.start(4) :]),
         )
     except (ValueError, MalformedBatchError) as exc:
         raise StorageViolation(StorageViolationKind.CORRUPT_RECORD, str(exc), line=lineno) from exc
@@ -80,8 +84,8 @@ def parse_record_line(line: str, lineno: int) -> ChainRecord:
 def _parse_file(raw: bytes, repair: bool) -> Ledger:
     lines = stored_lines(raw, repair)
     ledger = Ledger([], parse_header(next(lines)[1], _HEADER_PREFIX, _HEADER_SUFFIX))
-    for lineno, text in lines:
-        ledger.records.append(parse_record_line(text, lineno))
+    for lineno, text, data in lines:
+        ledger.records.append(parse_record_line(text, lineno, data, ledger.tip_hash))
     return ledger
 
 

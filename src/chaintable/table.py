@@ -85,8 +85,8 @@ def parse_header(line: str, prefix: str, suffix: str = "") -> str:
     return name
 
 
-def stored_lines(raw: bytes, repair: bool = False) -> Iterator[tuple[int, str]]:
-    """Split a stored file into (line number, text), the header as line 1.
+def stored_lines(raw: bytes, repair: bool = False) -> Iterator[tuple[int, str, bytes]]:
+    """Split a stored file into (line number, text, bytes), the header as line 1.
 
     A file with no complete line is CORRUPT_RECORD at line 1. An unterminated
     tail after the last complete line is CORRUPT_RECORD, or skipped with
@@ -99,7 +99,7 @@ def stored_lines(raw: bytes, repair: bool = False) -> Iterator[tuple[int, str]]:
             StorageViolationKind.CORRUPT_RECORD, "empty file or incomplete header line", line=1
         )
     for lineno, data in enumerate(lines, start=1):
-        yield lineno, decode_line(data, lineno)
+        yield lineno, decode_line(data, lineno), data
     if tail and not repair:
         raise StorageViolation(
             StorageViolationKind.CORRUPT_RECORD,
@@ -160,7 +160,7 @@ def read_data_file(path: str | os.PathLike[str]) -> tuple[str, list[UpdateRecord
     lines = stored_lines(Path(path).read_bytes())
     name = parse_header(next(lines)[1], _DATA_PREFIX)
     rows: list[UpdateRecord] = []
-    for lineno, text in lines:
+    for lineno, text, _ in lines:
         try:
             rows.append(decode_record(text))
         except MalformedBatchError as exc:

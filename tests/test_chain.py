@@ -232,6 +232,17 @@ def test_materialize_equals_latest_per_opid_of_reconstruct(batches):
     ]
 
 
+def test_materialize_decodes_a_view_of_more_rows_than_one_decode_takes():
+    ledger = Ledger()
+    for first in range(1, 2500, 3):  # 2,499 opids, each written twice
+        for timestamp in ("t1", "t2"):
+            rows = (UpdateRecord(o, timestamp, f"d{o}") for o in range(first, first + 3))
+            append_batch(ledger, UpdateBatch(rows))
+    view = materialize(ledger)
+    assert [(e.opid, e.timestamp) for e in view] == [(o, "t2") for o in range(1, 2500)]
+    assert all(e == UpdateRecord(e.opid, "t2", f"d{e.opid}") for e in view)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(_batches, min_size=1, max_size=6), st.integers(min_value=0, max_value=10**6))
 def test_single_update_mutation_is_always_detected(batches, seed):

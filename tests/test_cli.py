@@ -6,11 +6,24 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chaintable import load_ledger, read_data_file
+from chaintable import (
+    Ledger,
+    LedgerFile,
+    UpdateBatch,
+    UpdateRecord,
+    append_batch,
+    load_ledger,
+    read_data_file,
+    reconstruct,
+    replay_rows,
+)
 from conftest import WORKED_HISTORY, invoke_cli
 
 B1 = '[{"opid":1,"timestamp":"t1","description":"opt1"}]'
@@ -331,6 +344,95 @@ def test_materialize_writes_view_file(paths, tmp_path):
     assert [(e["opid"], e["timestamp"], e["description"]) for e in entries] == [
         (1, "t4", "opt4"), (2, "t2", "opt2"), (3, "t3", "opt3"),
     ]
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--json"], ["--out"], ["--json", "--out"]], ids=["text", "json", "out", "json-out"]
+)
+@pytest.mark.parametrize("corrupt_after", [False, True], ids=["broken", "corrupt-after-broken"])
+def test_materialize_refuses_a_broken_chain_without_output(paths, tmp_path, flags, corrupt_after):
+    ledger, _ = _init_and_fill(paths)
+    invoke_cli(["tamper", "--ledger", ledger, "--scenario", "1", "--lid", "2", "--set", "opt5"])
+    if corrupt_after:  # lid 3, on line 4, after the broken lid 2
+        lines = ledger.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b'{"opid":', b'{"opid": ', 1)
+        ledger.write_bytes(b"\n".join(lines))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["materialize", "--ledger", ledger, *flags]
+    if "--out" in flags:
+        argv.append(out_dir / "view.json")
+    code, out, err = invoke_cli(argv)
+    if corrupt_after:
+        assert code == 3 and "CORRUPT_RECORD (line 4)" in err, err
+    else:
+        assert code == 1 and "lid 2 (HASH_MISMATCH)" in err, err
+    assert out == "" and list(out_dir.iterdir()) == []
+
+
+def _dumps(value):
+    return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
+
+
+# Texts that a row split, a splice or an escape could get wrong.
+_TRICKY = [
+    '},{"opid":', '"', "\\", '\\"', "\\\\", ":null", ',"deleted":true}',
+    "\u2028", "\u2029", "\U0001f600", "\u00e9",
+]
+_timestamps = st.lists(
+    st.sampled_from(_TRICKY) | st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=4
+).map("".join)
+_descriptions = st.none() | st.lists(
+    # C0 characters are escaped by json, DEL and C1 are written raw.
+    st.sampled_from([*_TRICKY, "\x00", "\x08", "\x0b", "\n", "\x1f", "\x7f", "\x85", "\x9f"])
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=4,
+).map("".join)
+# Text order differs from numeric order (9, 10, 100), and one opid of 320 digits.
+_opids = st.sampled_from([1, 9, 10, 100, int("9" * 320)]) | st.integers(1, 120)
+_batches = st.lists(
+    st.tuples(_opids, _timestamps, _descriptions), min_size=1, max_size=4, unique_by=lambda r: r[:2]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_batches, max_size=6))
+@example([[(7, "a", "first"), (7, "b", "second")]])  # one opid twice in a batch: the last wins
+@example([[(100, "t", None), (9, "t", '},{"opid":1,"x'), (10, "t\u2028", "\x00\x85")]])
+def test_materialize_json_is_byte_identical_to_json_dumps_of_the_replay(batches):
+    ledger = Ledger()
+    for rows in batches:
+        append_batch(ledger, UpdateBatch(UpdateRecord(*row) for row in rows))
+    # The oracle: one dict per row of replay_rows over the reconstructed history.
+    entries = [
+        {"opid": r.opid, "timestamp": r.timestamp, "description": r.description, "deleted": r.is_deletion}
+        for r in replay_rows(reconstruct(ledger).rows)
+    ]
+    lines = [
+        f"opid {e['opid']}: deleted (tombstone at timestamp {e['timestamp']})"
+        if e["deleted"]
+        else f"opid {e['opid']}: timestamp={e['timestamp']} description={e['description']}"
+        for e in entries
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        ledger_path, out_path = Path(tmp) / "l.ctl", Path(tmp) / "view.json"
+        with LedgerFile.create(ledger_path, "Events") as writer:
+            for record in ledger.records:
+                writer.append(record)
+        expected = {
+            (): "\n".join([*lines, ""]),
+            ("--json",): _dumps({"view": entries, "out": None}) + "\n",
+            ("--json", "--out"): _dumps({"view": entries, "out": str(out_path)}) + "\n",
+            ("--out",): "\n".join([*lines, f"wrote {len(entries)} entries to {out_path}", ""]),
+        }
+        for flags, stdout in expected.items():
+            out_path.unlink(missing_ok=True)
+            argv = ["materialize", "--ledger", ledger_path, *flags]
+            code, out, err = invoke_cli(argv + [out_path] if "--out" in flags else argv)
+            assert (code, err) == (0, "")
+            assert out == stdout
+            if "--out" in flags:
+                assert out_path.read_bytes() == (_dumps(entries) + "\n").encode("utf-8")
 
 
 def test_separate_mounts_configuration(tmp_path):

@@ -75,6 +75,17 @@ def test_append_and_load_round_trip(tmp_path):
     assert verify_chain(loaded) is None
 
 
+def test_load_shares_a_linked_prev_hash_with_the_previous_record(tmp_path):
+    path = tmp_path / "l.ctl"
+    _write_worked_file(path)
+    first, second, third = load_ledger(path).records
+    assert second.prev_hash is first.hash and third.prev_hash is second.hash
+    # A prevHash that does not link is kept as its own stored text.
+    relinked = path.read_bytes().replace(f" {first.hash} [".encode(), f" {'ab' * 32} [".encode())
+    path.write_bytes(relinked)
+    assert load_ledger(path).records[1].prev_hash == "ab" * 32
+
+
 def test_append_rejects_lid_gap_without_writing(tmp_path):
     path = tmp_path / "l.ctl"
     ledger = build_worked_ledger()

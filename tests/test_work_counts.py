@@ -277,33 +277,30 @@ def test_open_builds_no_rows(tmp_path, monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_materialize_builds_each_stored_row_once(tmp_path, monkeypatch, n):
+def test_materialize_builds_each_view_row_once(tmp_path, monkeypatch, n):
     ledger, _, rows = _multi_row_store(tmp_path, n)
+    view_rows = len(materialize(load_ledger(ledger)))
+    assert view_rows < rows or n < 2  # rows that lose the replay are never built
     calls = _counting(monkeypatch)
     assert invoke_cli(["materialize", "--ledger", ledger])[0] == 0
-    assert calls["_row_record"] == rows
+    assert calls["_row_record"] == view_rows
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize(
-    ("flags", "entries"),
-    [((), False), (("--json",), True), (("--out",), True), (("--json", "--out"), True)],
+    "flags", [(), ("--json",), ("--out",), ("--json", "--out")], ids=["text", "json", "out", "json-out"]
 )
-def test_materialize_builds_only_the_output_it_prints(tmp_path, monkeypatch, n, flags, entries):
+def test_materialize_builds_only_the_output_it_prints(tmp_path, monkeypatch, n, flags):
     ledger, _, _ = _multi_row_store(tmp_path, n)
     view_rows = len(materialize(load_ledger(ledger)))
     argv = ["materialize", "--ledger", ledger, *flags]
     if "--out" in flags:
         argv.append(tmp_path / "view.json")
-    calls = Counter()
-    record_as_dict = chaintable.cli.record_as_dict
-
-    def counting(record):
-        calls["record_as_dict"] += 1
-        return record_as_dict(record)
-
-    monkeypatch.setattr(chaintable.cli, "record_as_dict", counting)
+    calls = _counting(monkeypatch)
+    _count(monkeypatch, calls, chaintable.cli, "record_as_dict")
     code, _, err = invoke_cli(argv)
     assert code == 0, err
-    # JSON entries are built once per view row, only for --json or --out.
-    assert calls["record_as_dict"] == (view_rows if entries else 0)
+    # The JSON view is written from the stored row texts, so no dict is built
+    # for it; rows are built only for the text lines, which --json replaces.
+    assert calls["record_as_dict"] == 0
+    assert calls["_row_record"] == (0 if "--json" in flags else view_rows)
