@@ -12,6 +12,9 @@ text it is stored and printed as, 64 lowercase hex characters. Tampering any
 stored field of record k breaks recomputation at k or linkage at k+1, so
 restoring a verifiable chain forces rewriting every hash from k to the end.
 A broken chain is one outcome, InvalidLedgerError, naming the lid and check.
+One verifier, verify_lines, runs over (lid, hash, prevHash, update) in order:
+a ledger's records, or a ledger file's checked lines, which are never built
+into records (storage.parse_record_line), so a read command builds none.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .encoding import UpdateBatch, UpdateRecord, canonical_encode_update, decode_rows, row_texts
 from .errors import InvalidLedgerError, MalformedBatchError
@@ -85,38 +88,41 @@ class Divergence:
     found: UpdateRecord | None  # what the table holds; None = row missing
 
 
-def compute_hash(lid: int, update: UpdateBatch, prev_hash: str | None) -> str:
-    """Double SHA-256 of the record preimage (see module docstring)."""
+def compute_hash(lid: int, update: UpdateBatch | bytes, prev_hash: str | None) -> str:
+    """Double SHA-256 of the record preimage (see module docstring); update is
+    a batch or its canonical bytes, as a checked ledger line holds them."""
     if not isinstance(lid, int) or isinstance(lid, bool) or lid < 1:
         raise MalformedBatchError(f"lid must be a positive integer, got {lid!r}")
-    preimage = (
-        str(lid).encode("ascii")
-        + _SEPARATOR
-        + canonical_encode_update(update)
-        + _SEPARATOR
-        + (prev_hash.encode("ascii") if prev_hash is not None else b"")
-    )
+    encoded = update if isinstance(update, bytes) else canonical_encode_update(update)
+    prev = b"" if prev_hash is None else prev_hash.encode("ascii")
+    preimage = _SEPARATOR.join((str(lid).encode("ascii"), encoded, prev))
     return hashlib.sha256(hashlib.sha256(preimage).digest()).hexdigest()
 
 
-def verify_chain(ledger: Ledger) -> None:
-    """Scan the chain in order; raise InvalidLedgerError at the first failing
-    record, return None if every record passes.
+def verify_lines(lines: Iterable[tuple[int, str, str | None, UpdateBatch | bytes]]) -> None:
+    """Scan (lid, hash, prevHash, update) records in order; raise
+    InvalidLedgerError at the first failing one, return None if every one passes.
 
     Checks per record, in order: lid contiguity, genesis rule (prevHash
     absent iff lid 1), linkage to the previous stored hash, and recomputation
-    of the stored hash. Never modifies the ledger; an empty chain is valid.
+    of the stored hash. An empty chain is valid.
     """
-    for index, record in enumerate(ledger.records):
-        expected_lid = index + 1
-        if record.lid != expected_lid:
+    tip = None
+    for expected_lid, (lid, stored_hash, prev_hash, update) in enumerate(lines, start=1):
+        if lid != expected_lid:
             raise InvalidLedgerError(expected_lid, FailureKind.LID_GAP)
-        if (record.prev_hash is None) != (record.lid == 1):
-            raise InvalidLedgerError(record.lid, FailureKind.GENESIS_VIOLATION)
-        if index > 0 and record.prev_hash != ledger.records[index - 1].hash:
-            raise InvalidLedgerError(record.lid, FailureKind.LINK_BREAK)
-        if compute_hash(record.lid, record.update, record.prev_hash) != record.hash:
-            raise InvalidLedgerError(record.lid, FailureKind.HASH_MISMATCH)
+        if (prev_hash is None) != (lid == 1):
+            raise InvalidLedgerError(lid, FailureKind.GENESIS_VIOLATION)
+        if prev_hash != tip:  # lid 1's None is tip's None
+            raise InvalidLedgerError(lid, FailureKind.LINK_BREAK)
+        if compute_hash(lid, update, prev_hash) != stored_hash:
+            raise InvalidLedgerError(lid, FailureKind.HASH_MISMATCH)
+        tip = stored_hash
+
+
+def verify_chain(ledger: Ledger) -> None:
+    """verify_lines over a ledger's records; never modifies the ledger."""
+    verify_lines((r.lid, r.hash, r.prev_hash, r.update) for r in ledger.records)
 
 
 def seal(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:
@@ -148,17 +154,18 @@ def reconstruct(ledger: Ledger) -> DataTable:
     return DataTable(name="reconstructed", rows=rows)
 
 
-def materialize_rows(ledger: Ledger) -> list[bytes]:
-    """Verify a ledger once; then its last row text per opid (lid, then batch order), by opid."""
-    verify_chain(ledger)
-    last = {int(row[: row.index(b",")]): row for r in ledger.records for row in row_texts(r.update)}
+def materialize_rows(updates: Iterable[bytes]) -> list[bytes]:
+    """The last row text per opid of a verified chain's updates (lid, then batch order), by opid."""
+    last = {int(row[: row.index(b",")]): row for update in updates for row in row_texts(update)}
     return [last[opid] for opid in sorted(last)]
 
 
 def materialize(ledger: Ledger) -> tuple[UpdateRecord, ...]:
-    """The current per-opid state of a valid ledger: the rows of materialize_rows,
-    decoded, and only those. A null description stays visible as a tombstone."""
-    return decode_rows(materialize_rows(ledger))
+    """The current per-opid state of a ledger, verified once: the rows of
+    materialize_rows, decoded, and only those. A null description stays
+    visible as a tombstone."""
+    verify_chain(ledger)
+    return decode_rows(materialize_rows(canonical_encode_update(r.update) for r in ledger.records))
 
 
 def compare_rows(

@@ -18,8 +18,16 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .attack import forge, measure_rewrite_cascade, overwrite_ledger
-from .chain import Divergence, compare_rows, materialize_rows, verify_chain
-from .encoding import decode_rows, encode_record, join_rows, parse_batch_input, record_as_dict
+from .chain import Divergence, compare_rows, materialize_rows, verify_lines
+from .encoding import (
+    decode_rows,
+    encode_record,
+    join_rows,
+    parse_batch_input,
+    record_as_dict,
+    row_count,
+    row_texts,
+)
 from .errors import (
     ChainTableError,
     DuplicateKeyError,
@@ -33,7 +41,7 @@ from .errors import (
     StoreInconsistentError,
     StoreMismatchError,
 )
-from .storage import load_ledger
+from .storage import load_ledger, load_lines
 from .store import ChainTableStore
 from .table import read_table_rows, render_data_file, replace_file
 
@@ -106,9 +114,19 @@ def _divergence_line(div: Divergence) -> str:
     return f"  row {div.position}: expected {expected}, found {found}"
 
 
+def _holds(path: str | Path, chunks: Iterable[bytes]) -> bool:
+    """Whether the file at path holds exactly chunks, compared as they are made."""
+    data, end = Path(path).read_bytes(), 0
+    for chunk in chunks:
+        if not data.startswith(chunk, end):
+            return False
+        end += len(chunk)
+    return end == len(data)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        ledger = load_ledger(args.ledger)
+        name, stored = load_lines(args.ledger)
     except StorageViolation as exc:
         # A file that cannot even be parsed is an integrity failure here,
         # not a usage error: verify exists to pronounce on exactly that.
@@ -117,23 +135,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(args, {"chain": chain, "table": None}, [])
         return EXIT_INTEGRITY
 
-    chain = {"valid": True, "records": len(ledger), "first_invalid_lid": None, "failure_kind": None}
+    chain = {"valid": True, "records": len(stored), "first_invalid_lid": None, "failure_kind": None}
     payload: dict[str, Any] = {"chain": chain, "table": None}
     try:  # one verification, before any data file is read
-        verify_chain(ledger)
+        verify_lines(stored)
     except InvalidLedgerError as exc:
         chain.update(valid=False, first_invalid_lid=exc.lid, failure_kind=exc.kind.name)
         lines = ["chain: INVALID", f"first invalid lid: {exc.lid}", f"failure: {exc.kind.name}"]
         _emit(args, payload, lines)
         return EXIT_INTEGRITY
-    lines = [f"chain: valid ({len(ledger)} records)"]
+    lines = [f"chain: valid ({len(stored)} records)"]
 
     if args.table is not None:
         # Rows, of either file, are decoded only when the data file differs.
-        rows, divergences = sum(len(r.update) for r in ledger.records), ()
-        if Path(args.table).read_bytes() != b"".join(render_data_file(ledger)):
-            found = read_table_rows(args.table, ledger.name)
-            history = [row for record in ledger.records for row in record.update]
+        updates = [update for *_, update in stored]
+        rows, divergences = sum(map(row_count, updates)), ()
+        if not _holds(args.table, render_data_file(name, updates)):
+            found = read_table_rows(args.table, name)
+            history = decode_rows([row for update in updates for row in row_texts(update)])
             rows, divergences = len(found), compare_rows(history, found)
         payload["table"] = {
             "consistent": not divergences,
@@ -158,21 +177,24 @@ def _refuse_out_on_ledger(args: argparse.Namespace) -> None:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    ledger = load_ledger(args.ledger)
-    verify_chain(ledger)
+    name, stored = load_lines(args.ledger)
+    verify_lines(stored)
     _refuse_out_on_ledger(args)
-    replace_file(args.out, render_data_file(ledger))
-    rows = sum(len(record.update) for record in ledger.records)
+    updates = [update for *_, update in stored]
+    replace_file(args.out, render_data_file(name, updates))
+    rows = sum(map(row_count, updates))
     _emit(
         args,
-        {"rows": rows, "out": str(args.out), "name": ledger.name},
+        {"rows": rows, "out": str(args.out), "name": name},
         [f"reconstructed {rows} rows into {args.out}"],
     )
     return EXIT_OK
 
 
 def cmd_materialize(args: argparse.Namespace) -> int:
-    rows = materialize_rows(load_ledger(args.ledger))
+    stored = load_lines(args.ledger)[1]
+    verify_lines(stored)
+    rows = materialize_rows(update for *_, update in stored)
     _refuse_out_on_ledger(args)
     if args.json or args.out is not None:
         # A row text is what json.dumps writes for its row: "deleted" is spliced in.
@@ -246,15 +268,12 @@ def cmd_tamper(args: argparse.Namespace) -> int:
 
 
 def cmd_status(args: argparse.Namespace) -> int:
-    ledger = load_ledger(args.ledger)
+    name, stored = load_lines(args.ledger)
+    tip = stored[-1][1] if stored else None
     _emit(
         args,
-        {"name": ledger.name, "records": len(ledger), "tip": ledger.tip_hash},
-        [
-            f"table name: {ledger.name}",
-            f"records: {len(ledger)}",
-            f"tip hash: {ledger.tip_hash or '-'}",
-        ],
+        {"name": name, "records": len(stored), "tip": tip},
+        [f"table name: {name}", f"records: {len(stored)}", f"tip hash: {tip or '-'}"],
     )
     return EXIT_OK
 

@@ -7,8 +7,9 @@ an explicit null for a deletion's absent description. Equal batches encode to
 identical bytes; any field difference changes the bytes.
 
 A batch is its canonical bytes, checked once however it is made: by one pattern
-of the canonical form and no key twice, after the record rules and one encode
-for rows not read from a file. Rows are decoded from the bytes only when used.
+of the canonical form, which a ledger line's pattern embeds, and no key twice
+(check_keys), after the record rules and one encode for rows not read from a file.
+Rows are decoded from the bytes only when used.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class UpdateBatch:
             if not isinstance(record, UpdateRecord):
                 raise MalformedBatchError(f"not an update record: {record!r}")
         encoded = _encode_records([record_as_dict(r) for r in records])
-        object.__setattr__(self, "_encoded", decode_stored_update(encoded)._encoded)
+        object.__setattr__(self, "_encoded", _canonical_bytes(encoded))
         object.__setattr__(self, "_records", records)
 
     @property
@@ -122,13 +123,13 @@ class UpdateBatch:
 
     def keys(self) -> list[bytes]:
         """Each row's opid and timestamp as canonical text, so equal texts are equal keys."""
-        return [row.partition(b',"description":')[0] for row in row_texts(self)]
+        return _keys(self._encoded)
 
     def __iter__(self) -> Iterator[UpdateRecord]:
         return iter(self.records)
 
     def __len__(self) -> int:
-        return self._encoded.count(_BOUNDARY) + 1
+        return row_count(self._encoded)
 
 
 def record_as_dict(record: UpdateRecord) -> dict[str, Any]:
@@ -155,9 +156,39 @@ def canonical_encode_update(batch: UpdateBatch) -> bytes:
     return batch._encoded
 
 
-def row_texts(batch: UpdateBatch) -> list[bytes]:
+def stored_batch(encoded: bytes) -> UpdateBatch:
+    """The batch of canonical bytes already checked, as a ledger line's are; checks nothing."""
+    batch = object.__new__(UpdateBatch)
+    object.__setattr__(batch, "_encoded", encoded)
+    object.__setattr__(batch, "_records", None)
+    return batch
+
+
+def row_texts(encoded: bytes) -> list[bytes]:
     """Each row of a batch as its canonical text between {"opid": and the closing }."""
-    return batch._encoded[9:-2].split(_BOUNDARY)
+    return encoded[9:-2].split(_BOUNDARY)
+
+
+def row_count(encoded: bytes) -> int:
+    """The number of rows in a batch's canonical bytes."""
+    return encoded.count(_BOUNDARY) + 1
+
+
+def _keys(encoded: bytes) -> list[bytes]:
+    """The key texts of a batch's canonical bytes (see UpdateBatch.keys)."""
+    return [row.partition(b',"description":')[0] for row in row_texts(encoded)]
+
+
+def check_keys(encoded: bytes) -> bytes:
+    """Return a batch's canonical bytes if no key is in them twice; else refuse
+    them, naming the first key repeated (found in one pass)."""
+    if _BOUNDARY in encoded and len(set(keys := _keys(encoded))) < len(keys):
+        seen: set[bytes] = set()
+        for key in keys:
+            if key in seen:
+                raise MalformedBatchError(f'duplicate key within batch: {{"opid":{key.decode()}}}')
+            seen.add(key)
+    return encoded
 
 
 def join_rows(rows: Sequence[bytes]) -> bytes:
@@ -171,9 +202,9 @@ def decode_rows(rows: Sequence[bytes]) -> tuple[UpdateRecord, ...]:
     return tuple(record for chunk in chunks for record in _ROWS.decode(chunk))
 
 
-def render_batch(batch: UpdateBatch) -> bytes:
+def render_batch(encoded: bytes) -> bytes:
     """Data-file lines of a batch: one record object per row text."""
-    return b'{"opid":' + b'}\n{"opid":'.join(row_texts(batch)) + b"}\n"
+    return encoded[1:-1].replace(_BOUNDARY, b'}\n{"opid":') + b"\n"
 
 
 def _checked_row(obj: Any) -> dict[str, Any]:
@@ -205,7 +236,7 @@ def _batch_from_value(data: Any) -> UpdateBatch:
     """The batch decoder for decoded JSON values, in any layout."""
     if not isinstance(data, list):
         raise MalformedBatchError("update encoding must be a JSON array of records")
-    return decode_stored_update(_encode_records([_checked_row(obj) for obj in data]))
+    return stored_batch(_canonical_bytes(_encode_records([_checked_row(obj) for obj in data])))
 
 
 def decode_update(text: str | bytes) -> UpdateBatch:
@@ -213,19 +244,12 @@ def decode_update(text: str | bytes) -> UpdateBatch:
     return _batch_from_value(_json_value(text))
 
 
-def decode_stored_update(text: str, encoded: bytes | None = None) -> UpdateBatch:
-    """The batch of a canonical text (and its UTF-8 bytes, if the caller holds
-    them), by the one rule for a batch's bytes: the canonical pattern, which admits
-    no lone surrogate, then no key twice. Decodes no JSON and builds no row."""
+def _canonical_bytes(text: str) -> bytes:
+    """The bytes of an encoded batch, by the one rule for a batch's bytes: the
+    canonical pattern, which admits no lone surrogate, then no key twice."""
     if not _CANONICAL_UPDATE.fullmatch(text):
         raise MalformedBatchError("update is not in canonical form")
-    batch = object.__new__(UpdateBatch)
-    object.__setattr__(batch, "_encoded", text.encode("utf-8") if encoded is None else encoded)
-    object.__setattr__(batch, "_records", None)
-    if len(batch) > 1 and len(set(keys := batch.keys())) < len(keys):
-        twice = next(key for i, key in enumerate(keys) if key in keys[:i]).decode("utf-8")
-        raise MalformedBatchError(f'duplicate key within batch: {{"opid":{twice}}}')
-    return batch
+    return check_keys(text.encode("utf-8"))
 
 
 def parse_batch_input(text: str | bytes) -> UpdateBatch:
@@ -243,12 +267,3 @@ def parse_batch_input(text: str | bytes) -> UpdateBatch:
         )
     return _batch_from_value(data)
 
-
-def decode_line(data: bytes, lineno: int) -> str:
-    """Decode one stored file line; undecodable bytes are a corrupt record."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise StorageViolation(
-            StorageViolationKind.CORRUPT_RECORD, f"undecodable bytes: {exc}", line=lineno
-        ) from exc

@@ -13,10 +13,12 @@ Preconditions reject lid gaps and prevHash mismatches before any byte is
 written, and every append is flushed to stable storage before returning.
 Loading splits lines and reads the header by the rules the data file shares
 (table.stored_lines, table.parse_header); only the ledger's repair drops a
-torn final line. Each record line is checked once, building no rows: one
-pattern splits it into a lid, a hash and a prevHash (hashes stay the stored
-hex text), then the update, kept as the line's own bytes, is checked by the
-canonical-form pattern and no key twice (encoding.decode_stored_update).
+torn final line. Each record line is checked once and builds nothing: one
+pattern, which embeds the canonical-form pattern of an update, splits it into
+a lid, a hash, a prevHash (hashes stay the stored hex text) and an update,
+kept as the line's own bytes, and no key may be in the update twice. Read
+commands work from these checked lines (load_lines); load_ledger and
+LedgerFile.open build the Ledger of ChainRecords from the same lines.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from io import FileIO
 from pathlib import Path
 
 from .chain import HASH_ALGORITHM, ChainRecord, Ledger
-from .encoding import canonical_encode_update, decode_stored_update
+from .encoding import _CANONICAL_UPDATE, canonical_encode_update, check_keys, stored_batch
 from .errors import (
     LockError,
     MalformedBatchError,
@@ -46,8 +48,13 @@ _HEADER_PREFIX = f"{LEDGER_MAGIC} {LEDGER_VERSION} "
 _HEADER_SUFFIX = f" {HASH_ALGORITHM}"
 
 _HASH = "[0-9a-f]{64}"
-# A record line as render_record writes it: lid, hash, prevHash or -, update.
-_RECORD_LINE = re.compile(rf"([1-9][0-9]*+) ({_HASH}) ({_HASH}|{ABSENT_PREV}) (.*)")
+# A checked record line: lid, hash, prevHash or None, update bytes (see parse_record_line).
+CheckedLine = tuple[int, str, str | None, bytes]
+# A record line as render_record writes it: lid, hash, prevHash or -, canonical
+# update. Any other update is still split off, so that the refusal can name it.
+_RECORD_LINE = re.compile(
+    rf"([1-9][0-9]*+) ({_HASH}) ({_HASH}|{ABSENT_PREV}) (?:({_CANONICAL_UPDATE.pattern})|.*)"
+)
 
 
 def ledger_header_line(name: str) -> str:
@@ -60,44 +67,56 @@ def render_record(record: ChainRecord) -> str:
     return f"{record.lid} {record.hash} {prev} {update}"
 
 
-def parse_record_line(
-    line: str, lineno: int, data: bytes | None = None, tip: str | None = None
-) -> ChainRecord:
-    """Parse one record line; any deviation from what render_record writes is corrupt.
-    The update is sliced from data (the line's bytes) if given; a prevHash equal to tip is tip."""
+def parse_record_line(line: str, lineno: int, data: bytes | None = None) -> CheckedLine:
+    """Check one record line, building nothing: (lid, hash, prevHash or None,
+    update bytes). Any deviation from what render_record writes is corrupt.
+    The update is sliced from data (the line's bytes) if given."""
     try:
         fields = _RECORD_LINE.fullmatch(line)
         if fields is None:
             raise ValueError("record line is not <lid> <hash hex> <prevHash hex or -> <update>")
-        lid, stored_hash, prev_hash, update = fields.groups()
-        return ChainRecord(
-            int(lid),  # ValueError past the interpreter's digit limit
-            stored_hash,
-            None if prev_hash == ABSENT_PREV else tip if prev_hash == tip else prev_hash,
-            # lid, hash and prevHash are ASCII: the update has the same offset in data.
-            decode_stored_update(update, None if data is None else data[fields.start(4) :]),
-        )
+        lid = int(fields[1])  # ValueError past the interpreter's digit limit
+        if fields.start(4) < 0:
+            raise ValueError("update is not in canonical form")
+        # lid, hash and prevHash are ASCII: the update has the same offset in data.
+        update = fields[4].encode("utf-8") if data is None else data[fields.start(4) :]
+        prev_hash = fields[3]
+        return lid, fields[2], None if prev_hash == ABSENT_PREV else prev_hash, check_keys(update)
     except (ValueError, MalformedBatchError) as exc:
         raise StorageViolation(StorageViolationKind.CORRUPT_RECORD, str(exc), line=lineno) from exc
 
 
-def _parse_file(raw: bytes, repair: bool) -> Ledger:
+def _parse_file(raw: bytes, repair: bool) -> tuple[str, list[CheckedLine]]:
     lines = stored_lines(raw, repair)
-    ledger = Ledger([], parse_header(next(lines)[1], _HEADER_PREFIX, _HEADER_SUFFIX))
-    for lineno, text, data in lines:
-        ledger.records.append(parse_record_line(text, lineno, data, ledger.tip_hash))
-    return ledger
+    name = parse_header(next(lines)[1], _HEADER_PREFIX, _HEADER_SUFFIX)
+    return name, [parse_record_line(text, lineno, data) for lineno, text, data in lines]
+
+
+def _chain_record(line: CheckedLine, tip: str | None) -> ChainRecord:
+    """The record of a checked line; a prevHash equal to tip (the previous hash) is tip."""
+    lid, hash_hex, prev_hash, update = line
+    return ChainRecord(lid, hash_hex, tip if prev_hash == tip else prev_hash, stored_batch(update))
+
+
+def _ledger(name: str, lines: list[CheckedLine]) -> Ledger:
+    tips = [None, *(line[1] for line in lines)]
+    return Ledger([_chain_record(line, tip) for line, tip in zip(lines, tips)], name)
+
+
+def load_lines(path: str | os.PathLike[str]) -> tuple[str, list[CheckedLine]]:
+    """The header's table name and every record line, checked (one snapshot read);
+    a malformed line raises CORRUPT_RECORD with its line number."""
+    return _parse_file(Path(path).read_bytes(), False)
 
 
 def load_ledger(path: str | os.PathLike[str], repair: bool = False) -> Ledger:
-    """Load every stored record and the header's table name (one snapshot read).
+    """The Ledger of ChainRecords built from the lines load_lines checks.
 
     A chain-invalid ledger is still returned: detecting tampering is
-    verify_chain's job, and tampered files must stay loadable. Malformed
-    lines raise CORRUPT_RECORD with their line number; with repair=True a
-    final unterminated (partially written) line is dropped instead.
+    verify_chain's job, and tampered files must stay loadable. With
+    repair=True a final unterminated (partially written) line is dropped.
     """
-    return _parse_file(Path(path).read_bytes(), repair)
+    return _ledger(*_parse_file(Path(path).read_bytes(), repair))
 
 
 def read_ledger_header(path: str | os.PathLike[str]) -> str:
@@ -150,7 +169,7 @@ class LedgerFile:
                     raise LockError(f"another writer holds the lock on {path}") from exc
                 raise
             raw = path.read_bytes()
-            ledger = _parse_file(raw, repair)
+            ledger = _ledger(*_parse_file(raw, repair))
             size = raw.rfind(b"\n") + 1  # less a partial final line, which repair drops
             if size < len(raw):
                 os.ftruncate(fh.fileno(), size)

@@ -16,7 +16,7 @@ import os
 from pathlib import Path
 
 from .chain import ChainRecord, Ledger, seal, verify_chain
-from .encoding import UpdateBatch, render_batch
+from .encoding import UpdateBatch, canonical_encode_update, render_batch
 from .errors import DuplicateKeyError, StorageFailureError, StoreInconsistentError
 from .storage import LedgerFile
 from .table import DataTable, append_data_rows, create_data_file, read_table_rows, render_data_file
@@ -76,12 +76,14 @@ class ChainTableStore:
         table_path = Path(table_path)
         ledger_file = LedgerFile.open(ledger_path, repair=repair)
         try:
-            verify_chain(ledger_file.ledger)
-            keys = {key for record in ledger_file.ledger.records for key in record.update.keys()}
-            expected = b"".join(render_data_file(ledger_file.ledger))
+            ledger = ledger_file.ledger
+            verify_chain(ledger)
+            keys = {key for record in ledger.records for key in record.update.keys()}
+            updates = (canonical_encode_update(record.update) for record in ledger.records)
+            expected = b"".join(render_data_file(ledger.name, updates))  # type: ignore[arg-type]
             found = table_path.read_bytes()
             if not expected.startswith(found):
-                read_table_rows(table_path, ledger_file.ledger.name)
+                read_table_rows(table_path, ledger.name)
                 raise StoreInconsistentError(
                     "data file content is not a prefix of the ledger history; "
                     "verify and reconstruct instead of appending"
@@ -125,7 +127,7 @@ class ChainTableStore:
         self._ledger_file.append(record)
         self._keys.update(keys)
         try:
-            append_data_rows(self._table_path, render_batch(batch))
+            append_data_rows(self._table_path, render_batch(canonical_encode_update(batch)))
         except Exception as exc:
             self._broken = True
             raise StorageFailureError(

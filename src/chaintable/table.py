@@ -15,13 +15,10 @@ import itertools
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .encoding import _CONTROL, UpdateRecord, decode_line, decode_record, encode_record, render_batch
+from .encoding import _CONTROL, UpdateRecord, decode_record, encode_record, render_batch
 from .errors import MalformedBatchError, StorageViolation, StorageViolationKind, StoreMismatchError
-
-if TYPE_CHECKING:
-    from .chain import Ledger
 
 DATA_MAGIC = "CHAINTABLE-DATA"
 DATA_VERSION = "v1"
@@ -99,7 +96,13 @@ def stored_lines(raw: bytes, repair: bool = False) -> Iterator[tuple[int, str, b
             StorageViolationKind.CORRUPT_RECORD, "empty file or incomplete header line", line=1
         )
     for lineno, data in enumerate(lines, start=1):
-        yield lineno, decode_line(data, lineno), data
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StorageViolation(
+                StorageViolationKind.CORRUPT_RECORD, f"undecodable bytes: {exc}", line=lineno
+            ) from exc
+        yield lineno, text, data
     if tail and not repair:
         raise StorageViolation(
             StorageViolationKind.CORRUPT_RECORD,
@@ -108,12 +111,11 @@ def stored_lines(raw: bytes, repair: bool = False) -> Iterator[tuple[int, str, b
         )
 
 
-def render_data_file(ledger: Ledger) -> Iterator[bytes]:
-    """The data file that a ledger read from disk determines, in chunks: the
-    header line, then one chunk per batch."""
-    yield _data_header(ledger.name)
-    for record in ledger.records:
-        yield render_batch(record.update)
+def render_data_file(name: str, updates: Iterable[bytes]) -> Iterator[bytes]:
+    """The data file that a ledger's table name and update bytes determine, in
+    chunks: the header line, then one chunk per batch."""
+    yield _data_header(name)
+    yield from map(render_batch, updates)
 
 
 def write_durably(file: str | os.PathLike[str] | int, chunks: Iterable[bytes], mode: str) -> None:

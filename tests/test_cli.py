@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -14,16 +15,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaintable import (
+    DataTable,
+    InvalidLedgerError,
     Ledger,
     LedgerFile,
+    StorageViolation,
+    StoreMismatchError,
     UpdateBatch,
     UpdateRecord,
     append_batch,
+    compute_hash,
     load_ledger,
     read_data_file,
     reconstruct,
     replay_rows,
+    verify_against_table,
+    verify_chain,
 )
+from chaintable.encoding import record_as_dict
+from chaintable.storage import ledger_header_line, render_record
+from chaintable.table import read_table_rows
 from conftest import WORKED_HISTORY, invoke_cli
 
 B1 = '[{"opid":1,"timestamp":"t1","description":"opt1"}]'
@@ -111,6 +122,37 @@ def test_append_rejects_bad_json_and_duplicate_key(paths):
     assert invoke_cli(["append", "--ledger", ledger, "--table", table], B1)[0] == 2
 
 
+def _batch_of_100k_rows_whose_last_repeats_a_key():
+    rows = [f'{{"opid":{i},"timestamp":"t{i}","description":null}}' for i in range(1, 100_000)]
+    return "[" + ",".join([*rows, '{"opid":7,"timestamp":"t7","description":"again"}']) + "]"
+
+
+_TWICE = 'duplicate key within batch: {"opid":7,"timestamp":"t7"}'
+
+
+def test_append_refuses_a_key_twice_in_a_large_batch_in_one_pass(paths):
+    ledger, table = _init_and_fill(paths)
+    before = ledger.read_bytes(), table.read_bytes()
+    batch = _batch_of_100k_rows_whose_last_repeats_a_key()
+    start = time.perf_counter()
+    code, _, err = invoke_cli(["append", "--ledger", ledger, "--table", table], batch)
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (2, f"error: {_TWICE}\n")
+    assert (ledger.read_bytes(), table.read_bytes()) == before
+
+
+@pytest.mark.parametrize(("command", "code"), [("verify", 1), ("status", 3)])
+def test_a_stored_key_twice_in_a_large_batch_is_refused_in_one_pass(paths, command, code):
+    ledger, _ = paths
+    update = _batch_of_100k_rows_whose_last_repeats_a_key()
+    record = f"1 {compute_hash(1, update.encode(), None)} - {update}"
+    ledger.write_text(f"CHAINTABLE-LEDGER v1 Events double-sha256-v1\n{record}\n")
+    start = time.perf_counter()
+    got, _, err = invoke_cli([command, "--ledger", ledger])
+    assert time.perf_counter() - start < 2
+    assert (got, err) == (code, f"error: CORRUPT_RECORD (line 2): {_TWICE}\n")
+
+
 def test_verify_reports_tampered_chain(paths):
     ledger, table = _init_and_fill(paths)
     code, out, _ = invoke_cli(["tamper", "--ledger", ledger, "--scenario", "1", "--lid", "2", "--set", "opt5"])
@@ -188,6 +230,19 @@ def test_verify_corrupt_data_file_is_storage_failure_with_line(paths):
     code, _, err = invoke_cli(["verify", "--ledger", ledger, "--table", table])
     assert code == 3
     assert "CORRUPT_RECORD (line 5)" in err
+
+
+@pytest.mark.parametrize("longer", [False, True], ids=["last-row-dropped", "last-row-twice"])
+def test_verify_table_reports_a_data_file_shorter_or_longer_than_the_ledger_renders(paths, longer):
+    ledger, table = _init_and_fill(paths)
+    whole = table.read_bytes()
+    last = whole[whole.rindex(b"\n", 0, -1) + 1 :]
+    table.write_bytes(whole + last if longer else whole[: -len(last)])
+    code, out, _ = invoke_cli(["verify", "--ledger", ledger, "--table", table])
+    row = last.decode().strip()
+    expected, found = ("absent", row) if longer else (row, "absent")
+    divergence = f"  row {5 if longer else 4}: expected {expected}, found {found}"
+    assert (code, out.splitlines()[1:]) == (1, ["table: DIVERGENT", divergence])
 
 
 def test_verify_name_mismatch_is_usage_error(paths, tmp_path):
@@ -570,3 +625,141 @@ def test_verify_detects_every_single_byte_flip(paths):
         table.write_bytes(mutated)
         assert verify("--table", table) != 0, f"data-file byte {i} flip not detected"
         assert (ledger.read_bytes(), table.read_bytes()) == (ledger_bytes, mutated)
+
+
+def _flipped(data, i):
+    return data[:i] + bytes([data[i] ^ 0x01]) + data[i + 1 :]
+
+
+def _assert_read_verdicts_match_the_object_path(ledger):
+    """verify --json and status on the file at ledger say what load_ledger and
+    verify_chain say of it: exit code, failure kind, lid or line, and stderr."""
+    try:
+        objects = load_ledger(ledger)
+    except StorageViolation as exc:
+        expected = (1, exc.kind.name, exc.line, f"error: {exc}\n")
+        expected_status = (3, "", f"error: {exc}\n")
+    else:
+        tip = objects.tip_hash or "-"
+        status = f"table name: {objects.name}\nrecords: {len(objects)}\ntip hash: {tip}\n"
+        expected_status = (0, status, "")
+        try:
+            verify_chain(objects)
+            expected = (0, None, None, "")
+        except InvalidLedgerError as exc:
+            expected = (1, exc.kind.name, exc.lid, "")
+    code, out, err = invoke_cli(["verify", "--ledger", ledger, "--json"])
+    chain = json.loads(out)["chain"]
+    where = chain["line"] if "line" in chain else chain["first_invalid_lid"]
+    assert (code, chain["failure_kind"], where, err) == expected
+    assert invoke_cli(["status", "--ledger", ledger]) == expected_status
+    return expected
+
+
+def _table_verdict_of_the_object_path(ledger, table):
+    """(exit code, table payload, stderr) of verify --table for a chain that
+    verifies, by load_ledger, read_table_rows and verify_against_table."""
+    objects = load_ledger(ledger)
+    try:
+        rows = read_table_rows(table, objects.name)
+    except (StorageViolation, StoreMismatchError) as exc:
+        return (3 if isinstance(exc, StorageViolation) else 2), None, f"error: {exc}\n"
+    divergences = verify_against_table(objects, DataTable(objects.name, tuple(rows)))
+    payload = {
+        "consistent": not divergences,
+        "rows": len(rows),
+        "divergences": [
+            {
+                "position": d.position,
+                "opid": d.opid,
+                "expected": None if d.expected is None else record_as_dict(d.expected),
+                "found": None if d.found is None else record_as_dict(d.found),
+            }
+            for d in divergences
+        ],
+    }
+    return int(bool(divergences)), payload, ""
+
+
+def test_read_verdicts_match_the_object_path_on_every_single_byte_flip(paths):
+    """The store of test_verify_detects_every_single_byte_flip: each flip of a
+    ledger byte gives verify and status the object path's verdict, and each
+    flip of a data-file byte gives verify --table its verdict."""
+    ledger, table = _init_and_fill(paths)
+    ledger_bytes, table_bytes = ledger.read_bytes(), table.read_bytes()
+    for i in range(len(ledger_bytes)):
+        ledger.write_bytes(_flipped(ledger_bytes, i))
+        _assert_read_verdicts_match_the_object_path(ledger)
+    ledger.write_bytes(ledger_bytes)
+    for i in range(len(table_bytes)):
+        table.write_bytes(_flipped(table_bytes, i))
+        code, out, err = invoke_cli(["verify", "--ledger", ledger, "--table", table, "--json"])
+        expected, table_payload, expected_err = _table_verdict_of_the_object_path(ledger, table)
+        assert (code, err) == (expected, expected_err), i
+        if table_payload is not None:
+            assert json.loads(out)["table"] == table_payload, i
+
+
+def _break_link_then_a_later_line(lines, data):
+    k = data.draw(st.integers(2, len(lines) - 2))
+    m = data.draw(st.integers(k + 1, len(lines) - 1))
+    lid, stored, prev, update = lines[k].split(" ", 3)
+    lines[k] = " ".join([lid, stored, "0" * 64 if prev != "0" * 64 else "1" * 64, update])
+    lines[m] = lines[m].replace('{"opid":', '{"opid": ', 1)
+    return "\n".join(lines) + "\n", ("CORRUPT_RECORD", m + 1)
+
+
+def _mismatch_a_hash_then_tear_the_tail(lines, data):
+    k = data.draw(st.integers(1, len(lines) - 1))
+    lid, stored, rest = lines[k].split(" ", 2)
+    lines[k] = " ".join([lid, "0" * 64 if stored != "0" * 64 else "1" * 64, rest])
+    torn = f"{len(lines)} {'ab' * 32} {lines[-1].split(' ', 2)[1]} [{{"
+    return "\n".join(lines) + "\n" + torn, ("CORRUPT_RECORD", len(lines) + 1)
+
+
+def _skip_a_lid(lines, data):
+    k = data.draw(st.integers(1, len(lines) - 1))
+    lid, rest = lines[k].split(" ", 1)
+    lines[k] = f"{int(lid) + data.draw(st.integers(1, 3))} {rest}"
+    return "\n".join(lines) + "\n", ("LID_GAP", k)
+
+
+def _violate_genesis(lines, data):
+    k = data.draw(st.integers(1, len(lines) - 1))
+    lid, stored, prev, update = lines[k].split(" ", 3)
+    lines[k] = " ".join([lid, stored, "ab" * 32 if k == 1 else "-", update])
+    return "\n".join(lines) + "\n", ("GENESIS_VIOLATION", k)
+
+
+def _repeat_a_batch_within_itself(lines, data):
+    k = data.draw(st.integers(1, len(lines) - 1))
+    head, update = lines[k].rsplit(" [", 1)
+    lines[k] = f"{head} [{update[:-1]},{update}"
+    return "\n".join(lines) + "\n", ("CORRUPT_RECORD", k + 1)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _break_link_then_a_later_line,
+        _mismatch_a_hash_then_tear_the_tail,
+        _skip_a_lid,
+        _violate_genesis,
+        _repeat_a_batch_within_itself,
+    ],
+)
+@settings(max_examples=25, deadline=None)
+@given(batches=st.lists(_batches, min_size=3, max_size=6), data=st.data())
+def test_read_verdicts_match_the_object_path_on_damaged_ledgers(damage, batches, data):
+    """A corrupt line is reported ahead of an earlier chain failure, a torn
+    tail only after every complete line has passed; the chain checks report
+    their lid. verify and status agree with the object path on each."""
+    history = Ledger()
+    for rows in batches:
+        append_batch(history, UpdateBatch(UpdateRecord(*row) for row in rows))
+    lines = [ledger_header_line("Events"), *map(render_record, history.records)]
+    text, (kind, where) = damage(lines, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        ledger = Path(tmp) / "l.ctl"
+        ledger.write_bytes(text.encode("utf-8"))
+        assert _assert_read_verdicts_match_the_object_path(ledger)[1:3] == (kind, where)

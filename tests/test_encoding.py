@@ -88,6 +88,17 @@ def test_batch_rejects_duplicate_keys_within_batch():
         UpdateBatch([UpdateRecord(1, "t1", "a"), UpdateRecord(1, "t1", "b")])
 
 
+@pytest.mark.parametrize(
+    ("keys", "named"),
+    [("abba", "b"), ("abab", "a"), ("abcc", "c"), ("aa", "a")],
+)
+def test_a_duplicate_key_refusal_names_the_first_key_seen_twice(keys, named):
+    rows = [{"opid": 1, "timestamp": key, "description": None} for key in keys]
+    with pytest.raises(MalformedBatchError) as excinfo:
+        decode_update(json.dumps(rows))
+    assert str(excinfo.value) == f'duplicate key within batch: {{"opid":1,"timestamp":"{named}"}}'
+
+
 def test_batch_allows_same_opid_different_timestamp():
     batch = UpdateBatch([UpdateRecord(1, "t1", "a"), UpdateRecord(1, "t2", "b")])
     assert len(batch) == 2
@@ -234,4 +245,5 @@ _row_records = st.builds(
 def test_rendered_rows_equal_the_per_row_encode_join(batches):
     batches = [UpdateBatch(records) for records in batches]
     expected = "".join(encode_record(r) + "\n" for batch in batches for r in batch)
-    assert b"".join(map(render_batch, batches)) == expected.encode("utf-8")
+    rendered = b"".join(render_batch(canonical_encode_update(batch)) for batch in batches)
+    assert rendered == expected.encode("utf-8")

@@ -1,5 +1,5 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no module-level name is left that nothing refers to.
+no module-level name is left that nothing refers to, and one function hashes.
 
 A deletion that leaves its import behind, or a helper or pattern it no longer
 needs, fails here. __init__.py is skipped, since its imports are the public
@@ -152,3 +152,51 @@ def test_scan_finds_a_name_nothing_references():
         "a.py:recursive",
         "b.py:main",
     ]
+
+
+def hashing_functions(modules: dict[str, str]) -> list[str]:
+    """module:function for each function that refers to hashlib or to a name
+    imported from it; module:<module> for such a reference outside any function."""
+    found = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "hashlib"
+            for alias in node.names
+        }
+        names = {"hashlib", *imported}
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        inside = {id(n) for f in functions for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in names and id(node) not in inside:
+                found.append(f"{module}:<module>")
+        for function in functions:
+            if any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(function)):
+                found.append(f"{module}:{function.name}")
+    return sorted(set(found))
+
+
+def test_one_function_computes_every_hash():
+    """hashlib is used by compute_hash alone, so counting compute_hash counts
+    every hash the package computes."""
+    modules = {module: (SRC / module).read_text(encoding="utf-8") for module in MODULES}
+    assert hashing_functions(modules) == ["chain.py:compute_hash"]
+
+
+def test_scan_finds_every_hashing_function():
+    modules = {
+        "a.py": (
+            "import hashlib\n"
+            "def one(b):\n"
+            "    return hashlib.sha256(b)\n"
+            "def two(b):\n"
+            "    digest = hashlib.new('sha256', b)\n"
+            "    return digest\n"
+            "def other(b):\n"
+            "    return b\n"
+        ),
+        "b.py": "from hashlib import sha256 as h\nTOP = h(b'')\ndef three():\n    return h\n",
+    }
+    assert hashing_functions(modules) == ["a.py:one", "a.py:two", "b.py:<module>", "b.py:three"]

@@ -28,6 +28,7 @@ from chaintable import (
     verify_chain,
 )
 from chaintable.chain import compute_hash
+from chaintable.encoding import canonical_encode_update, decode_rows, row_count, row_texts
 from chaintable.storage import parse_record_line, read_ledger_header, render_record
 from conftest import WORKED_BATCHES, build_worked_ledger, parse_record_line_oracle, random_batch
 
@@ -381,10 +382,37 @@ def test_parse_record_line_agrees_with_the_parser_it_replaced(line, lineno):
             parse_record_line(line, lineno)
         assert (excinfo.value.kind, excinfo.value.line) == (refusal.kind, lineno)
         return
-    record = parse_record_line(line, lineno)
-    assert record == expected
-    assert record.update.records == expected.update.records
-    assert len(record.update) == len(expected.update.records)
+    lid, stored_hash, prev_hash, update = parse_record_line(line, lineno)
+    assert (lid, stored_hash, prev_hash) == (expected.lid, expected.hash, expected.prev_hash)
+    assert update == canonical_encode_update(expected.update)
+    assert decode_rows(row_texts(update)) == expected.update.records
+    assert row_count(update) == len(expected.update.records)
+
+
+_NOT_A_LINE = "record line is not <lid> <hash hex> <prevHash hex or -> <update>"
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        (_GOOD.replace(" - ", " -- "), _NOT_A_LINE),
+        (_GOOD.replace("ab", "AB", 1) + " ", _NOT_A_LINE),
+        (_GOOD.replace("null", "nul"), "update is not in canonical form"),
+        (_GOOD + " ", "update is not in canonical form"),
+        (
+            _GOOD.replace("}]", '},{"opid":1,"timestamp":"t1","description":"x"}]'),
+            'duplicate key within batch: {"opid":1,"timestamp":"t1"}',
+        ),
+        # The lid is read before the update is judged.
+        ("9" * 5000 + _GOOD[1:].replace("null", "nul"), "Exceeds the limit"),
+    ],
+    ids=["fields", "fields-and-update", "update", "update-trailing", "key-twice", "lid-first"],
+)
+def test_parse_record_line_names_the_field_at_fault(line, message):
+    with pytest.raises(StorageViolation) as excinfo:
+        parse_record_line(line, 3)
+    assert excinfo.value.line == 3
+    assert excinfo.value.detail.startswith(message)
 
 
 # Texts that are not 64 lowercase ASCII hex digits, each refused once as the
@@ -416,7 +444,7 @@ _BAD_HASH_FIELDS = [
 @pytest.mark.parametrize("field, text", _BAD_HASH_FIELDS)
 def test_parse_record_line_refuses_a_bad_hash_field(field, text):
     fields = ["7", "ab" * 32, "cd" * 32, '[{"opid":1,"timestamp":"t1","description":null}]']
-    assert parse_record_line(" ".join(fields), 5).prev_hash == "cd" * 32
+    assert parse_record_line(" ".join(fields), 5)[2] == "cd" * 32
     fields[field] = text
     with pytest.raises(StorageViolation) as excinfo:
         parse_record_line(" ".join(fields), 5)

@@ -22,7 +22,7 @@ from chaintable import (
     verify_against_table,
     verify_chain,
 )
-from chaintable.encoding import render_batch
+from chaintable.encoding import canonical_encode_update, render_batch
 from conftest import WORKED_BATCHES, WORKED_HISTORY, invoke_cli, random_op_sequence
 
 
@@ -146,7 +146,7 @@ def _assert_open_completes_each_cut(tmp_path, cuts):
 
 
 def test_open_completes_a_data_file_torn_at_any_byte_of_the_last_write(tmp_path):
-    last_write = len(render_batch(WORKED_BATCHES[-1]))
+    last_write = len(render_batch(canonical_encode_update(WORKED_BATCHES[-1])))
     _assert_open_completes_each_cut(
         tmp_path, lambda whole: range(len(whole) - last_write, len(whole) + 1)
     )

@@ -17,6 +17,7 @@ from chaintable import (
     replay_rows,
     write_data_file,
 )
+from chaintable.encoding import canonical_encode_update
 from chaintable.table import append_data_rows, create_data_file, render_batch
 from conftest import WORKED_BATCHES, WORKED_HISTORY, WORKED_VIEW, invoke_cli
 
@@ -49,7 +50,7 @@ def test_data_file_round_trip(tmp_path):
     path = tmp_path / "t.ctd"
     create_data_file(path, "Events")
     for batch in WORKED_BATCHES:
-        append_data_rows(path, render_batch(batch))
+        append_data_rows(path, render_batch(canonical_encode_update(batch)))
     name, rows = read_data_file(path)
     assert name == "Events"
     assert tuple(rows) == WORKED_HISTORY
@@ -79,7 +80,7 @@ def test_read_data_file_rejects_bad_header(tmp_path):
 def test_read_data_file_rejects_partial_final_line(tmp_path):
     path = tmp_path / "t.ctd"
     create_data_file(path, "Events")
-    append_data_rows(path, render_batch(WORKED_BATCHES[0]))
+    append_data_rows(path, render_batch(canonical_encode_update(WORKED_BATCHES[0])))
     with open(path, "ab") as fh:
         fh.write(b'{"opid":2,"time')
     with pytest.raises(StorageViolation) as excinfo:

@@ -1,6 +1,6 @@
 """Exact work per CLI command on an n-record store: ledger loads, chain
 verifications, hashes computed, ledger lines parsed, batches encoded,
-data-file rows decoded and rows built.
+data-file rows decoded, rows built and chain records built.
 Counts, not timings, so a redundant pass fails deterministically."""
 
 from collections import Counter
@@ -63,11 +63,12 @@ def _counting(monkeypatch):
 
 def _loads_and_verifies(monkeypatch):
     """Count ledger loads (the one function that parses a ledger file's bytes)
-    and verify_chain calls, under every name that calls it, from here on."""
+    and chain verifications (verify_lines, the one verifier, which verify_chain
+    calls), under every name that calls it, from here on."""
     calls = Counter()
     _count(monkeypatch, calls, chaintable.storage, "_parse_file")
-    for module in (chaintable.chain, chaintable.store, chaintable.cli):
-        _count(monkeypatch, calls, module, "verify_chain")
+    for module in (chaintable.chain, chaintable.cli):
+        _count(monkeypatch, calls, module, "verify_lines")
     return calls
 
 
@@ -207,7 +208,7 @@ def test_each_command_loads_the_ledger_once_and_verifies_it_at_most_once(
     calls = _loads_and_verifies(monkeypatch)
     code, _, err = invoke_cli(argv, batch)
     assert code == 0, err
-    assert (calls["_parse_file"], calls["verify_chain"]) == LOADS_AND_VERIFIES[command]
+    assert (calls["_parse_file"], calls["verify_lines"]) == LOADS_AND_VERIFIES[command]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -215,9 +216,9 @@ def test_open_loads_and_verifies_once_and_an_append_does_neither(tmp_path, monke
     ledger, table = _store(tmp_path, n)
     calls = _loads_and_verifies(monkeypatch)
     with ChainTableStore.open(ledger, table) as store:
-        assert (calls["_parse_file"], calls["verify_chain"]) == (1, 1)
+        assert (calls["_parse_file"], calls["verify_lines"]) == (1, 1)
         store.append(UpdateBatch([UpdateRecord(1, "new", "x")]))
-        assert (calls["_parse_file"], calls["verify_chain"]) == (1, 1)
+        assert (calls["_parse_file"], calls["verify_lines"]) == (1, 1)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -266,6 +267,44 @@ def test_commands_that_use_no_rows_build_none(tmp_path, monkeypatch, n, command)
     code, _, err = invoke_cli(argv)
     assert code == 0, err
     assert calls["_row_record"] == 0
+
+
+READ_COMMANDS = ["status", "verify", "verify --table", "reconstruct", "materialize"]
+
+
+@pytest.mark.parametrize(
+    ("command", "n"),
+    # tamper forges the last record, so it needs one.
+    [(c, n) for c in [*READ_COMMANDS, "append", "tamper"] for n in SIZES if n or c != "tamper"],
+)
+def test_only_commands_that_hold_a_ledger_build_chain_records(tmp_path, monkeypatch, command, n):
+    ledger, table = _store(tmp_path, n)
+    argv = {
+        "status": ["status", "--ledger", ledger],
+        "verify": ["verify", "--ledger", ledger],
+        "verify --table": ["verify", "--ledger", ledger, "--table", table],
+        "reconstruct": ["reconstruct", "--ledger", ledger, "--out", tmp_path / "rebuilt.ctd"],
+        "materialize": ["materialize", "--ledger", ledger],
+        "append": ["append", "--ledger", ledger, "--table", table],
+        "tamper": ["tamper", "--ledger", ledger, "--scenario", "2", "--set", "x"],
+    }[command]
+    batch = '[{"opid":1,"timestamp":"new","description":"x"}]' if command == "append" else None
+    calls = Counter()
+    # The one function that builds a ChainRecord from a checked ledger line.
+    _count(monkeypatch, calls, chaintable.storage, "_chain_record")
+    code, _, err = invoke_cli(argv, batch)
+    assert code == 0, err
+    # Read commands work from the checked lines; a writer holds the Ledger.
+    assert calls["_chain_record"] == (0 if command in READ_COMMANDS else n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_open_builds_each_chain_record_once(tmp_path, monkeypatch, n):
+    ledger, table = _store(tmp_path, n)
+    calls = Counter()
+    _count(monkeypatch, calls, chaintable.storage, "_chain_record")
+    ChainTableStore.open(ledger, table).close()
+    assert calls["_chain_record"] == n
 
 
 @pytest.mark.parametrize("n", SIZES)
