@@ -11,10 +11,9 @@ Never run them against a file a live writer holds open.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 
 from .chain import ChainRecord, Ledger, compute_hash
-from .encoding import UpdateBatch, UpdateRecord
+from .encoding import UpdateBatch, UpdateRecord, canonical_encode_update, decode_rows, row_texts
 from .errors import LidOutOfRangeError, StorageViolation
 from .storage import ledger_header_line, load_ledger, render_record
 from .table import write_durably
@@ -45,7 +44,8 @@ def forge(
     stored hash and prevHash recomputed for lids lid..rewrite_through.
 
     rewrite_through None is the in-place edit (an empty re-hash range). This
-    is the one re-hash loop behind every attack helper and the tamper command.
+    is the one re-hash loop behind every attack helper and the tamper
+    command. Only the edited batch is decoded.
     """
     n = len(ledger.records)
     if rewrite_through is None:
@@ -57,30 +57,25 @@ def forge(
             f"need 1 <= lid <= rewrite_through <= {n}, got lid={lid}, "
             f"rewrite_through={rewrite_through}"
         )
-    forged = Ledger(list(ledger.records), ledger.name)
-    records = forged.records
+    records = list(ledger.records)
     target = records[lid - 1]
-    batch = _replace_description(target.update, record_index, new_description)
-    records[lid - 1] = replace(target, update=batch)
+    update = _replace_description(target.update, record_index, new_description)
+    records[lid - 1] = ChainRecord(lid, target.hash, target.prev_hash, update)
     for position in range(lid, rewrite_through + 1):
         record = records[position - 1]
         prev = record.prev_hash if position == lid else records[position - 2].hash
         rehashed = compute_hash(position, record.update, prev)
         records[position - 1] = ChainRecord(position, rehashed, prev, record.update)
-    return forged
+    return Ledger(records, ledger.name)
 
 
-def _replace_description(
-    batch: UpdateBatch, record_index: int, new_description: str | None
-) -> UpdateBatch:
-    if not 1 <= record_index <= len(batch.records):
-        raise ValueError(
-            f"record index {record_index} out of range for a batch of {len(batch.records)}"
-        )
-    records = list(batch.records)
+def _replace_description(update: bytes, record_index: int, new_description: str | None) -> bytes:
+    records = list(decode_rows(row_texts(update)))
+    if not 1 <= record_index <= len(records):
+        raise ValueError(f"record index {record_index} out of range for a batch of {len(records)}")
     old = records[record_index - 1]
     records[record_index - 1] = UpdateRecord(old.opid, old.timestamp, new_description)
-    return UpdateBatch(records)
+    return canonical_encode_update(UpdateBatch(records))
 
 
 def tamper_ledger(
@@ -114,7 +109,7 @@ def measure_rewrite_cascade(ledger: Ledger, k: int) -> int:
     n = len(ledger.records)
     if not 1 <= k <= n:
         raise LidOutOfRangeError(f"lid {k} out of range for {n} records")
-    description = ledger.records[k - 1].update.records[0].description
+    description = decode_rows(row_texts(ledger.records[k - 1].update)[:1])[0].description
     marker = "tampered" if description is None else description + "'"
     forged = forge(ledger, k, 1, marker, n)
     return sum(

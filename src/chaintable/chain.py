@@ -12,9 +12,9 @@ text it is stored and printed as, 64 lowercase hex characters. Tampering any
 stored field of record k breaks recomputation at k or linkage at k+1, so
 restoring a verifiable chain forces rewriting every hash from k to the end.
 A broken chain is one outcome, InvalidLedgerError, naming the lid and check.
-One verifier, verify_lines, runs over (lid, hash, prevHash, update) in order:
-a ledger's records, or a ledger file's checked lines, which are never built
-into records (storage.parse_record_line), so a read command builds none.
+A record is its stored line's four fields, the update kept as its canonical
+bytes: the reader (storage.parse_record_line) and seal build the same tuple,
+so every command verifies, replays and writes one record type.
 """
 
 from __future__ import annotations
@@ -22,9 +22,17 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .encoding import UpdateBatch, UpdateRecord, canonical_encode_update, decode_rows, row_texts
+from .encoding import (
+    UpdateBatch,
+    UpdateRecord,
+    canonical_encode_update,
+    decode_history,
+    decode_rows,
+    row_texts,
+    update_bytes,
+)
 from .errors import InvalidLedgerError, MalformedBatchError
 from .table import DataTable
 
@@ -40,19 +48,21 @@ class FailureKind(enum.Enum):
     GENESIS_VIOLATION = "GENESIS_VIOLATION"
 
 
-@dataclass(frozen=True)
-class ChainRecord:
-    """One ledger row; hashes are hex text. prev_hash is None only for the
-    genesis record."""
+class ChainRecord(NamedTuple):
+    """One ledger row as stored; hashes are hex text, prev_hash is None only
+    for the genesis record, and update is the canonical update bytes (rows
+    come from reconstruct, materialize or decode_update)."""
 
     lid: int
     hash: str
     prev_hash: str | None
-    update: UpdateBatch
+    update: bytes
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.lid, int) or isinstance(self.lid, bool) or self.lid < 1:
-            raise MalformedBatchError(f"lid must be a positive integer, got {self.lid!r}")
+
+def check_lid(lid: object) -> None:
+    """Refuse a lid that is not a positive int (a bool is not a lid)."""
+    if not isinstance(lid, int) or isinstance(lid, bool) or lid < 1:
+        raise MalformedBatchError(f"lid must be a positive integer, got {lid!r}")
 
 
 @dataclass
@@ -88,27 +98,25 @@ class Divergence:
     found: UpdateRecord | None  # what the table holds; None = row missing
 
 
-def compute_hash(lid: int, update: UpdateBatch | bytes, prev_hash: str | None) -> str:
+def compute_hash(lid: int, update: bytes | UpdateBatch, prev_hash: str | None) -> str:
     """Double SHA-256 of the record preimage (see module docstring); update is
-    a batch or its canonical bytes, as a checked ledger line holds them."""
-    if not isinstance(lid, int) or isinstance(lid, bool) or lid < 1:
-        raise MalformedBatchError(f"lid must be a positive integer, got {lid!r}")
-    encoded = update if isinstance(update, bytes) else canonical_encode_update(update)
+    the canonical bytes or the batch they encode."""
+    check_lid(lid)
     prev = b"" if prev_hash is None else prev_hash.encode("ascii")
-    preimage = _SEPARATOR.join((str(lid).encode("ascii"), encoded, prev))
+    preimage = _SEPARATOR.join((str(lid).encode("ascii"), update_bytes(update), prev))
     return hashlib.sha256(hashlib.sha256(preimage).digest()).hexdigest()
 
 
-def verify_lines(lines: Iterable[tuple[int, str, str | None, UpdateBatch | bytes]]) -> None:
-    """Scan (lid, hash, prevHash, update) records in order; raise
-    InvalidLedgerError at the first failing one, return None if every one passes.
+def verify_chain(ledger: Ledger) -> None:
+    """Scan the records in order; raise InvalidLedgerError at the first
+    failing one, return None if every one passes. Never modifies the ledger.
 
     Checks per record, in order: lid contiguity, genesis rule (prevHash
     absent iff lid 1), linkage to the previous stored hash, and recomputation
     of the stored hash. An empty chain is valid.
     """
     tip = None
-    for expected_lid, (lid, stored_hash, prev_hash, update) in enumerate(lines, start=1):
+    for expected_lid, (lid, stored_hash, prev_hash, update) in enumerate(ledger.records, start=1):
         if lid != expected_lid:
             raise InvalidLedgerError(expected_lid, FailureKind.LID_GAP)
         if (prev_hash is None) != (lid == 1):
@@ -120,19 +128,14 @@ def verify_lines(lines: Iterable[tuple[int, str, str | None, UpdateBatch | bytes
         tip = stored_hash
 
 
-def verify_chain(ledger: Ledger) -> None:
-    """verify_lines over a ledger's records; never modifies the ledger."""
-    verify_lines((r.lid, r.hash, r.prev_hash, r.update) for r in ledger.records)
-
-
 def seal(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:
-    """Return the record that carries batch after the ledger's tip; the ledger
-    is left unchanged and is not verified (append_batch verifies it)."""
-    if not isinstance(batch, UpdateBatch):
-        raise MalformedBatchError(f"not an update batch: {batch!r}")
+    """Return the record that carries batch, encoded once, after the ledger's
+    tip; the ledger is left unchanged and is not verified (append_batch
+    verifies it)."""
+    update = canonical_encode_update(batch)
     lid = len(ledger.records) + 1
     prev_hash = ledger.tip_hash
-    return ChainRecord(lid, compute_hash(lid, batch, prev_hash), prev_hash, batch)
+    return ChainRecord(lid, compute_hash(lid, update, prev_hash), prev_hash, update)
 
 
 def append_batch(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:
@@ -150,8 +153,7 @@ def append_batch(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:
 def reconstruct(ledger: Ledger) -> DataTable:
     """Rebuild the full append-only row history from a valid ledger."""
     verify_chain(ledger)
-    rows = tuple(row for record in ledger.records for row in record.update)
-    return DataTable(name="reconstructed", rows=rows)
+    return DataTable(name="reconstructed", rows=decode_history(r.update for r in ledger.records))
 
 
 def materialize_rows(updates: Iterable[bytes]) -> list[bytes]:
@@ -165,7 +167,7 @@ def materialize(ledger: Ledger) -> tuple[UpdateRecord, ...]:
     materialize_rows, decoded, and only those. A null description stays
     visible as a tombstone."""
     verify_chain(ledger)
-    return decode_rows(materialize_rows(canonical_encode_update(r.update) for r in ledger.records))
+    return decode_rows(materialize_rows(r.update for r in ledger.records))
 
 
 def compare_rows(

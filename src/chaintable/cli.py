@@ -18,15 +18,15 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .attack import forge, measure_rewrite_cascade, overwrite_ledger
-from .chain import Divergence, compare_rows, materialize_rows, verify_lines
+from .chain import Divergence, compare_rows, materialize_rows, verify_chain
 from .encoding import (
+    decode_history,
     decode_rows,
     encode_record,
     join_rows,
     parse_batch_input,
     record_as_dict,
     row_count,
-    row_texts,
 )
 from .errors import (
     ChainTableError,
@@ -41,7 +41,7 @@ from .errors import (
     StoreInconsistentError,
     StoreMismatchError,
 )
-from .storage import load_ledger, load_lines
+from .storage import load_ledger
 from .store import ChainTableStore
 from .table import read_table_rows, render_data_file, replace_file
 
@@ -126,7 +126,7 @@ def _holds(path: str | Path, chunks: Iterable[bytes]) -> bool:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        name, stored = load_lines(args.ledger)
+        ledger = load_ledger(args.ledger)
     except StorageViolation as exc:
         # A file that cannot even be parsed is an integrity failure here,
         # not a usage error: verify exists to pronounce on exactly that.
@@ -135,25 +135,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(args, {"chain": chain, "table": None}, [])
         return EXIT_INTEGRITY
 
-    chain = {"valid": True, "records": len(stored), "first_invalid_lid": None, "failure_kind": None}
+    chain = {"valid": True, "records": len(ledger), "first_invalid_lid": None, "failure_kind": None}
     payload: dict[str, Any] = {"chain": chain, "table": None}
     try:  # one verification, before any data file is read
-        verify_lines(stored)
+        verify_chain(ledger)
     except InvalidLedgerError as exc:
         chain.update(valid=False, first_invalid_lid=exc.lid, failure_kind=exc.kind.name)
         lines = ["chain: INVALID", f"first invalid lid: {exc.lid}", f"failure: {exc.kind.name}"]
         _emit(args, payload, lines)
         return EXIT_INTEGRITY
-    lines = [f"chain: valid ({len(stored)} records)"]
+    lines = [f"chain: valid ({len(ledger)} records)"]
 
     if args.table is not None:
         # Rows, of either file, are decoded only when the data file differs.
-        updates = [update for *_, update in stored]
+        updates = [record.update for record in ledger.records]
         rows, divergences = sum(map(row_count, updates)), ()
-        if not _holds(args.table, render_data_file(name, updates)):
-            found = read_table_rows(args.table, name)
-            history = decode_rows([row for update in updates for row in row_texts(update)])
-            rows, divergences = len(found), compare_rows(history, found)
+        if not _holds(args.table, render_data_file(ledger.name, updates)):
+            found = read_table_rows(args.table, ledger.name)
+            rows, divergences = len(found), compare_rows(decode_history(updates), found)
         payload["table"] = {
             "consistent": not divergences,
             "rows": rows,
@@ -177,24 +176,24 @@ def _refuse_out_on_ledger(args: argparse.Namespace) -> None:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    name, stored = load_lines(args.ledger)
-    verify_lines(stored)
+    ledger = load_ledger(args.ledger)
+    verify_chain(ledger)
     _refuse_out_on_ledger(args)
-    updates = [update for *_, update in stored]
-    replace_file(args.out, render_data_file(name, updates))
+    updates = [record.update for record in ledger.records]
+    replace_file(args.out, render_data_file(ledger.name, updates))
     rows = sum(map(row_count, updates))
     _emit(
         args,
-        {"rows": rows, "out": str(args.out), "name": name},
+        {"rows": rows, "out": str(args.out), "name": ledger.name},
         [f"reconstructed {rows} rows into {args.out}"],
     )
     return EXIT_OK
 
 
 def cmd_materialize(args: argparse.Namespace) -> int:
-    stored = load_lines(args.ledger)[1]
-    verify_lines(stored)
-    rows = materialize_rows(update for *_, update in stored)
+    ledger = load_ledger(args.ledger)
+    verify_chain(ledger)
+    rows = materialize_rows(record.update for record in ledger.records)
     _refuse_out_on_ledger(args)
     if args.json or args.out is not None:
         # A row text is what json.dumps writes for its row: "deleted" is spliced in.
@@ -268,12 +267,12 @@ def cmd_tamper(args: argparse.Namespace) -> int:
 
 
 def cmd_status(args: argparse.Namespace) -> int:
-    name, stored = load_lines(args.ledger)
-    tip = stored[-1][1] if stored else None
+    ledger = load_ledger(args.ledger)
+    name, records, tip = ledger.name, len(ledger), ledger.tip_hash
     _emit(
         args,
-        {"name": name, "records": len(stored), "tip": tip},
-        [f"table name: {name}", f"records: {len(stored)}", f"tip hash: {tip or '-'}"],
+        {"name": name, "records": records, "tip": tip},
+        [f"table name: {name}", f"records: {records}", f"tip hash: {tip or '-'}"],
     )
     return EXIT_OK
 

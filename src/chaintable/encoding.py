@@ -123,7 +123,7 @@ class UpdateBatch:
 
     def keys(self) -> list[bytes]:
         """Each row's opid and timestamp as canonical text, so equal texts are equal keys."""
-        return _keys(self._encoded)
+        return key_texts(self._encoded)
 
     def __iter__(self) -> Iterator[UpdateRecord]:
         return iter(self.records)
@@ -156,12 +156,14 @@ def canonical_encode_update(batch: UpdateBatch) -> bytes:
     return batch._encoded
 
 
-def stored_batch(encoded: bytes) -> UpdateBatch:
-    """The batch of canonical bytes already checked, as a ledger line's are; checks nothing."""
-    batch = object.__new__(UpdateBatch)
-    object.__setattr__(batch, "_encoded", encoded)
-    object.__setattr__(batch, "_records", None)
-    return batch
+def update_bytes(update: bytes | UpdateBatch) -> bytes:
+    """An update's canonical bytes, given as those bytes or as the batch they encode."""
+    return update if isinstance(update, bytes) else canonical_encode_update(update)
+
+
+def check_update(encoded: bytes) -> None:
+    """Refuse bytes that are not a batch's canonical bytes, as a ledger line's update is."""
+    _canonical_bytes(encoded.decode("utf-8", "surrogateescape"))  # no pattern admits a surrogate
 
 
 def row_texts(encoded: bytes) -> list[bytes]:
@@ -174,7 +176,7 @@ def row_count(encoded: bytes) -> int:
     return encoded.count(_BOUNDARY) + 1
 
 
-def _keys(encoded: bytes) -> list[bytes]:
+def key_texts(encoded: bytes) -> list[bytes]:
     """The key texts of a batch's canonical bytes (see UpdateBatch.keys)."""
     return [row.partition(b',"description":')[0] for row in row_texts(encoded)]
 
@@ -182,7 +184,7 @@ def _keys(encoded: bytes) -> list[bytes]:
 def check_keys(encoded: bytes) -> bytes:
     """Return a batch's canonical bytes if no key is in them twice; else refuse
     them, naming the first key repeated (found in one pass)."""
-    if _BOUNDARY in encoded and len(set(keys := _keys(encoded))) < len(keys):
+    if _BOUNDARY in encoded and len(set(keys := key_texts(encoded))) < len(keys):
         seen: set[bytes] = set()
         for key in keys:
             if key in seen:
@@ -200,6 +202,11 @@ def decode_rows(rows: Sequence[bytes]) -> tuple[UpdateRecord, ...]:
     """Records of checked row texts (see row_texts), decoded 1000 at a time to bound memory."""
     chunks = (join_rows(rows[i : i + 1000]).decode() for i in range(0, len(rows), 1000))
     return tuple(record for chunk in chunks for record in _ROWS.decode(chunk))
+
+
+def decode_history(updates: Iterable[bytes]) -> tuple[UpdateRecord, ...]:
+    """The records of a chain's canonical update bytes, in order."""
+    return decode_rows([row for update in updates for row in row_texts(update)])
 
 
 def render_batch(encoded: bytes) -> bytes:
@@ -236,7 +243,11 @@ def _batch_from_value(data: Any) -> UpdateBatch:
     """The batch decoder for decoded JSON values, in any layout."""
     if not isinstance(data, list):
         raise MalformedBatchError("update encoding must be a JSON array of records")
-    return stored_batch(_canonical_bytes(_encode_records([_checked_row(obj) for obj in data])))
+    encoded = _canonical_bytes(_encode_records([_checked_row(obj) for obj in data]))
+    batch = object.__new__(UpdateBatch)  # the rows are checked dicts, not UpdateRecords
+    object.__setattr__(batch, "_encoded", encoded)
+    object.__setattr__(batch, "_records", None)
+    return batch
 
 
 def decode_update(text: str | bytes) -> UpdateBatch:

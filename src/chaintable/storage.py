@@ -13,12 +13,12 @@ Preconditions reject lid gaps and prevHash mismatches before any byte is
 written, and every append is flushed to stable storage before returning.
 Loading splits lines and reads the header by the rules the data file shares
 (table.stored_lines, table.parse_header); only the ledger's repair drops a
-torn final line. Each record line is checked once and builds nothing: one
+torn final line. Each record line is checked once, into its ChainRecord: one
 pattern, which embeds the canonical-form pattern of an update, splits it into
 a lid, a hash, a prevHash (hashes stay the stored hex text) and an update,
-kept as the line's own bytes, and no key may be in the update twice. Read
-commands work from these checked lines (load_lines); load_ledger and
-LedgerFile.open build the Ledger of ChainRecords from the same lines.
+kept as the line's own bytes, and no key may be in the update twice.
+load_ledger and LedgerFile.open are the one loader, and LedgerFile.append
+refuses every record whose line that check would refuse.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from io import FileIO
 from pathlib import Path
 
-from .chain import HASH_ALGORITHM, ChainRecord, Ledger
-from .encoding import _CANONICAL_UPDATE, canonical_encode_update, check_keys, stored_batch
+from .chain import HASH_ALGORITHM, ChainRecord, Ledger, check_lid
+from .encoding import _CANONICAL_UPDATE, check_keys, check_update, update_bytes
 from .errors import (
     LockError,
     MalformedBatchError,
@@ -48,8 +48,6 @@ _HEADER_PREFIX = f"{LEDGER_MAGIC} {LEDGER_VERSION} "
 _HEADER_SUFFIX = f" {HASH_ALGORITHM}"
 
 _HASH = "[0-9a-f]{64}"
-# A checked record line: lid, hash, prevHash or None, update bytes (see parse_record_line).
-CheckedLine = tuple[int, str, str | None, bytes]
 # A record line as render_record writes it: lid, hash, prevHash or -, canonical
 # update. Any other update is still split off, so that the refusal can name it.
 _RECORD_LINE = re.compile(
@@ -63,14 +61,13 @@ def ledger_header_line(name: str) -> str:
 
 def render_record(record: ChainRecord) -> str:
     prev = ABSENT_PREV if record.prev_hash is None else record.prev_hash
-    update = canonical_encode_update(record.update).decode("utf-8")
-    return f"{record.lid} {record.hash} {prev} {update}"
+    return f"{record.lid} {record.hash} {prev} {record.update.decode('utf-8')}"
 
 
-def parse_record_line(line: str, lineno: int, data: bytes | None = None) -> CheckedLine:
-    """Check one record line, building nothing: (lid, hash, prevHash or None,
-    update bytes). Any deviation from what render_record writes is corrupt.
-    The update is sliced from data (the line's bytes) if given."""
+def parse_record_line(line: str, lineno: int, data: bytes | None = None) -> ChainRecord:
+    """Check one record line into its record. Any deviation from what
+    render_record writes is corrupt. The update is sliced from data (the
+    line's bytes) if given."""
     try:
         fields = _RECORD_LINE.fullmatch(line)
         if fields is None:
@@ -80,43 +77,27 @@ def parse_record_line(line: str, lineno: int, data: bytes | None = None) -> Chec
             raise ValueError("update is not in canonical form")
         # lid, hash and prevHash are ASCII: the update has the same offset in data.
         update = fields[4].encode("utf-8") if data is None else data[fields.start(4) :]
-        prev_hash = fields[3]
-        return lid, fields[2], None if prev_hash == ABSENT_PREV else prev_hash, check_keys(update)
+        prev_hash = None if fields[3] == ABSENT_PREV else fields[3]
+        return ChainRecord(lid, fields[2], prev_hash, check_keys(update))
     except (ValueError, MalformedBatchError) as exc:
         raise StorageViolation(StorageViolationKind.CORRUPT_RECORD, str(exc), line=lineno) from exc
 
 
-def _parse_file(raw: bytes, repair: bool) -> tuple[str, list[CheckedLine]]:
+def _parse_file(raw: bytes, repair: bool) -> Ledger:
     lines = stored_lines(raw, repair)
     name = parse_header(next(lines)[1], _HEADER_PREFIX, _HEADER_SUFFIX)
-    return name, [parse_record_line(text, lineno, data) for lineno, text, data in lines]
-
-
-def _chain_record(line: CheckedLine, tip: str | None) -> ChainRecord:
-    """The record of a checked line; a prevHash equal to tip (the previous hash) is tip."""
-    lid, hash_hex, prev_hash, update = line
-    return ChainRecord(lid, hash_hex, tip if prev_hash == tip else prev_hash, stored_batch(update))
-
-
-def _ledger(name: str, lines: list[CheckedLine]) -> Ledger:
-    tips = [None, *(line[1] for line in lines)]
-    return Ledger([_chain_record(line, tip) for line, tip in zip(lines, tips)], name)
-
-
-def load_lines(path: str | os.PathLike[str]) -> tuple[str, list[CheckedLine]]:
-    """The header's table name and every record line, checked (one snapshot read);
-    a malformed line raises CORRUPT_RECORD with its line number."""
-    return _parse_file(Path(path).read_bytes(), False)
+    return Ledger([parse_record_line(text, lineno, data) for lineno, text, data in lines], name)
 
 
 def load_ledger(path: str | os.PathLike[str], repair: bool = False) -> Ledger:
-    """The Ledger of ChainRecords built from the lines load_lines checks.
+    """The Ledger of every record line, checked (one snapshot read); a
+    malformed line raises CORRUPT_RECORD with its line number.
 
     A chain-invalid ledger is still returned: detecting tampering is
     verify_chain's job, and tampered files must stay loadable. With
     repair=True a final unterminated (partially written) line is dropped.
     """
-    return _ledger(*_parse_file(Path(path).read_bytes(), repair))
+    return _parse_file(Path(path).read_bytes(), repair)
 
 
 def read_ledger_header(path: str | os.PathLike[str]) -> str:
@@ -169,7 +150,7 @@ class LedgerFile:
                     raise LockError(f"another writer holds the lock on {path}") from exc
                 raise
             raw = path.read_bytes()
-            ledger = _ledger(*_parse_file(raw, repair))
+            ledger = _parse_file(raw, repair)
             size = raw.rfind(b"\n") + 1  # less a partial final line, which repair drops
             if size < len(raw):
                 os.ftruncate(fh.fileno(), size)
@@ -181,21 +162,31 @@ class LedgerFile:
     def append(self, record: ChainRecord) -> None:
         """Append exactly one record at end-of-file, durable before return.
 
-        Rejects, without writing a byte: anything that is not a single
-        ChainRecord (MULTI_RECORD_WRITE), a hash that is not 64 lowercase
-        hex characters (ValueError), a lid that skips or repeats (LID_GAP),
-        a prevHash that does not match the stored tip (PREV_HASH_MISMATCH),
-        and any out-of-band change to the file since open (NON_APPEND_WRITE).
+        Rejects, without writing a byte, every record whose line a reader
+        would refuse: anything that is not a single ChainRecord
+        (MULTI_RECORD_WRITE), a lid that is not a positive int
+        (MalformedBatchError), a hash that is not 64 lowercase hex characters
+        (ValueError), update bytes that are not canonical or repeat a key
+        (MalformedBatchError); and a lid that skips or repeats (LID_GAP), a
+        prevHash that does not match the stored tip (PREV_HASH_MISMATCH), and
+        any out-of-band change to the file since open (NON_APPEND_WRITE).
+        The update may be given as a batch; the ledger keeps its bytes.
         """
-        if isinstance(record, (list, tuple, Ledger)):
-            raise StorageViolation(
-                StorageViolationKind.MULTI_RECORD_WRITE,
-                "only one record may be written at a time",
-            )
         if not isinstance(record, ChainRecord):
+            if isinstance(record, (list, tuple, Ledger)):
+                raise StorageViolation(
+                    StorageViolationKind.MULTI_RECORD_WRITE,
+                    "only one record may be written at a time",
+                )
             raise TypeError(f"expected a ChainRecord, got {type(record).__name__}")
+        check_lid(record.lid)
         if not isinstance(record.hash, str) or not re.fullmatch(_HASH, record.hash):
             raise ValueError(f"record hash is not 64 lowercase hex characters: {record.hash!r}")
+        update = update_bytes(record.update)
+        if update is record.update:  # given as bytes: checked as a stored line's update is
+            check_update(update)
+        else:
+            record = ChainRecord(record.lid, record.hash, record.prev_hash, update)
         expected_lid = len(self.ledger) + 1
         if record.lid != expected_lid:
             raise StorageViolation(

@@ -1,13 +1,14 @@
 """Coupled durable store: one data file and one ledger file in lockstep.
 
 The ledger is the source of truth and the store's only history: its
-LedgerFile's one in-memory Ledger, grown only by durable appends. Beside it
-the store keeps just the set of key texts written (UpdateBatch.keys). Writes go
-ledger-first, data file second; if the process dies between the two, open()
-finds the data file to be a byte prefix (even empty) of the file the ledger
-renders and appends the missing bytes before accepting new writes. The two
-paths are independent so the ledger can live on separate, better-guarded
-storage than the table it protects.
+LedgerFile's one in-memory Ledger of records as the file stores them, grown
+only by durable appends. Beside it the store keeps just the set of key texts
+written (encoding.key_texts). Writes go ledger-first, data file second; if
+the process dies between the two, open() finds the data file to be a byte
+prefix (even empty) of the file the ledger renders and appends the missing
+bytes before accepting new writes. The two paths are independent so the
+ledger can live on separate, better-guarded storage than the table it
+protects.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 from pathlib import Path
 
 from .chain import ChainRecord, Ledger, seal, verify_chain
-from .encoding import UpdateBatch, canonical_encode_update, render_batch
+from .encoding import UpdateBatch, decode_history, key_texts, render_batch
 from .errors import DuplicateKeyError, StorageFailureError, StoreInconsistentError
 from .storage import LedgerFile
 from .table import DataTable, append_data_rows, create_data_file, read_table_rows, render_data_file
@@ -66,7 +67,7 @@ class ChainTableStore:
         """Open for writing: verify the chain, then reconcile the data file.
 
         The ledger is parsed once, by LedgerFile.open, and verified once (an
-        invalid chain raises InvalidLedgerError); keys come from batch bytes.
+        invalid chain raises InvalidLedgerError); keys come from update bytes.
 
         A data file holding a byte prefix of the file the ledger renders (an
         interrupted create or coupled write, torn anywhere, even empty) is
@@ -78,8 +79,8 @@ class ChainTableStore:
         try:
             ledger = ledger_file.ledger
             verify_chain(ledger)
-            keys = {key for record in ledger.records for key in record.update.keys()}
-            updates = (canonical_encode_update(record.update) for record in ledger.records)
+            keys = {key for record in ledger.records for key in key_texts(record.update)}
+            updates = (record.update for record in ledger.records)
             expected = b"".join(render_data_file(ledger.name, updates))  # type: ignore[arg-type]
             found = table_path.read_bytes()
             if not expected.startswith(found):
@@ -103,8 +104,7 @@ class ChainTableStore:
     @property
     def table(self) -> DataTable:
         """The row history, derived from the ledger on each read."""
-        rows = tuple(row for record in self.ledger.records for row in record.update)
-        return DataTable(self.name, rows)
+        return DataTable(self.name, decode_history(r.update for r in self.ledger.records))
 
     @property
     def name(self) -> str:
@@ -127,7 +127,7 @@ class ChainTableStore:
         self._ledger_file.append(record)
         self._keys.update(keys)
         try:
-            append_data_rows(self._table_path, render_batch(canonical_encode_update(batch)))
+            append_data_rows(self._table_path, render_batch(record.update))
         except Exception as exc:
             self._broken = True
             raise StorageFailureError(

@@ -27,6 +27,7 @@ from chaintable import (
     UpdateBatch,
     UpdateRecord,
     append_batch,
+    decode_update,
 )
 from chaintable.cli import main as cli_main
 
@@ -90,7 +91,7 @@ def replay_ledger(ledger: Ledger) -> tuple[UpdateRecord, ...]:
     within-batch order)."""
     latest: dict[int, UpdateRecord] = {}
     for record in ledger.records:
-        for update in record.update:
+        for update in decode_update(record.update).records:
             latest[update.opid] = update
     return tuple(latest[opid] for opid in sorted(latest))
 
@@ -135,7 +136,7 @@ def parse_record_line_oracle(line: str, lineno: int) -> ChainRecord:
         if not isinstance(data, list):
             raise MalformedBatchError("update encoding must be a JSON array of records")
         records = [_oracle_record(obj) for obj in data]
-        update = UpdateBatch(records)
+        UpdateBatch(records)  # the batch rules: no key twice
     except (ValueError, RecursionError, MalformedBatchError) as exc:
         raise corrupt(str(exc)) from exc
     rendered = json.dumps(
@@ -146,7 +147,7 @@ def parse_record_line_oracle(line: str, lineno: int) -> ChainRecord:
     prev = "-" if prev_hash is None else prev_hash
     if f"{lid} {stored_hash} {prev} {rendered}" != line:
         raise corrupt("record line is not in canonical form")
-    return ChainRecord(lid, stored_hash, prev_hash, update)
+    return ChainRecord(lid, stored_hash, prev_hash, rendered.encode("utf-8"))
 
 
 @pytest.fixture

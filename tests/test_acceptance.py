@@ -22,6 +22,8 @@ from chaintable import (
     UpdateBatch,
     UpdateRecord,
     append_batch,
+    canonical_encode_update,
+    decode_update,
     load_ledger,
     materialize,
     measure_rewrite_cascade,
@@ -182,23 +184,26 @@ def test_acceptance_4_rewrite_cascade_law():
     _run(4, "rewrite cascade is exactly n-k+1 on 200 random ledgers, all k", 30.0, body)
 
 
+def _encoded(records) -> bytes:
+    return canonical_encode_update(UpdateBatch(records))
+
+
 def _field_mutations(record: ChainRecord):
     """Six single-field mutants of one chain record, each still representable."""
-    first = record.update.records[0]
-    rest = list(record.update.records[1:])
-    max_opid = max(r.opid for r in record.update.records)
+    first, *rest = decode_update(record.update).records
+    max_opid = max(r.opid for r in [first, *rest])
     yield "opid", ChainRecord(
         record.lid, record.hash, record.prev_hash,
-        UpdateBatch([UpdateRecord(max_opid + 1, first.timestamp, first.description)] + rest),
+        _encoded([UpdateRecord(max_opid + 1, first.timestamp, first.description)] + rest),
     )
     yield "timestamp", ChainRecord(
         record.lid, record.hash, record.prev_hash,
-        UpdateBatch([UpdateRecord(first.opid, first.timestamp + "x", first.description)] + rest),
+        _encoded([UpdateRecord(first.opid, first.timestamp + "x", first.description)] + rest),
     )
     new_description = "x" if first.description is None else first.description + "x"
     yield "description", ChainRecord(
         record.lid, record.hash, record.prev_hash,
-        UpdateBatch([UpdateRecord(first.opid, first.timestamp, new_description)] + rest),
+        _encoded([UpdateRecord(first.opid, first.timestamp, new_description)] + rest),
     )
     flipped = _flip_last_digit(record.hash)
     yield "hash", ChainRecord(record.lid, flipped, record.prev_hash, record.update)
@@ -215,10 +220,9 @@ def _rehashed_suffix(ledger: Ledger, k: int) -> Ledger:
     """Mutate the update at lid k, then forge hashes k..n so the chain verifies."""
     records = list(ledger.records)
     target = records[k - 1]
-    first = target.update.records[0]
-    forged_update = UpdateBatch(
-        [UpdateRecord(first.opid, first.timestamp + "forged", first.description)]
-        + list(target.update.records[1:])
+    first, *rest = decode_update(target.update).records
+    forged_update = _encoded(
+        [UpdateRecord(first.opid, first.timestamp + "forged", first.description)] + rest
     )
     updates = [r.update for r in records]
     updates[k - 1] = forged_update

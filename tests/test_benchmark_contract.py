@@ -35,10 +35,14 @@ install(tracer)
 batches = gen.Generator(1).batches(6)
 run.build_store(out, batches)
 run.Oracle(batches, []).check_store(run.Store(out), 0)
+appended = len(tracer.spans)
 code, _ = run.run_cli_inprocess(["verify", "--ledger", f"{out}/ledger", "--table", f"{out}/data"])
 assert code == 0, code
 traced = {tracer.names[span[0]] for span in tracer.spans}
 assert {"chain.compute_hash", "storage.LedgerFile.append", "cli.main"} <= traced, traced
+# The read command's load and verification are spans of their own.
+verify_spans = {tracer.names[span[0]] for span in tracer.spans[appended:]}
+assert {"storage.load_ledger", "chain.verify_chain"} <= verify_spans, verify_spans
 print("ok")
 """
 

@@ -15,6 +15,8 @@ from chaintable import (
     UpdateBatch,
     UpdateRecord,
     append_batch,
+    canonical_encode_update,
+    decode_update,
     materialize,
     reconstruct,
     verify_against_table,
@@ -31,7 +33,7 @@ from conftest import (
 
 
 def _with_update(record: ChainRecord, batch: UpdateBatch) -> ChainRecord:
-    return ChainRecord(record.lid, record.hash, record.prev_hash, batch)
+    return ChainRecord(record.lid, record.hash, record.prev_hash, canonical_encode_update(batch))
 
 
 def test_append_builds_the_worked_chain():
@@ -197,7 +199,7 @@ def test_round_trip_rebuild_is_record_identical():
         ledger = random_ledger(rng, n)
         rebuilt = Ledger()
         for record in ledger.records:
-            append_batch(rebuilt, record.update)
+            append_batch(rebuilt, decode_update(record.update))
         assert [render_record(a) for a in ledger.records] == [
             render_record(b) for b in rebuilt.records
         ]
@@ -252,10 +254,7 @@ def test_single_update_mutation_is_always_detected(batches, seed):
     rng = Random(seed)
     index = rng.randrange(len(ledger.records))
     target = ledger.records[index]
-    first = target.update.records[0]
-    mutated = UpdateBatch(
-        [UpdateRecord(first.opid, first.timestamp + "x", first.description)]
-        + list(target.update.records[1:])
-    )
+    first, *rest = decode_update(target.update).records
+    mutated = UpdateBatch([UpdateRecord(first.opid, first.timestamp + "x", first.description)] + rest)
     ledger.records[index] = _with_update(target, mutated)
     assert _failure(ledger) == (index + 1, FailureKind.HASH_MISMATCH)

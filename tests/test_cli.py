@@ -588,63 +588,24 @@ def test_failed_out_write_leaves_the_previous_file_as_it_was(paths, tmp_path, co
     assert sorted(p.name for p in out_dir.iterdir()) == ["previous"]
 
 
-def test_verify_detects_every_single_byte_flip(paths):
-    """Flip bit 0 of each byte of the ledger, then of the data file, and verify.
-
-    Every record-line byte of the ledger and every byte of the data file
-    makes verify exit non-zero. The ledger header's table name is covered by
-    no hash, so renaming it passes plain verify; verify --table refuses it
-    (exit 2, ledger and data file name different tables). verify writes nothing.
-    """
-    ledger, table = _init_and_fill(paths)
-    ledger_bytes, table_bytes = ledger.read_bytes(), table.read_bytes()
-    header_end = ledger_bytes.index(b"\n") + 1
-    name_start = ledger_bytes.index(b" Events ") + 1
-    name_bytes = set(range(name_start, name_start + len("Events")))
-
-    def flipped(data, i):
-        return data[:i] + bytes([data[i] ^ 0x01]) + data[i + 1 :]
-
-    def verify(*extra):
-        return invoke_cli(["verify", "--ledger", ledger, *extra])[0]
-
-    passed_plain_verify = set()
-    for i in range(len(ledger_bytes)):
-        mutated = flipped(ledger_bytes, i)
-        ledger.write_bytes(mutated)
-        if verify() == 0:
-            assert i < header_end, f"record-line byte {i} flip not detected"
-            passed_plain_verify.add(i)
-            assert verify("--table", table) == 2, i
-        assert (ledger.read_bytes(), table.read_bytes()) == (mutated, table_bytes)
-    assert passed_plain_verify == name_bytes
-
-    ledger.write_bytes(ledger_bytes)
-    for i in range(len(table_bytes)):
-        mutated = flipped(table_bytes, i)
-        table.write_bytes(mutated)
-        assert verify("--table", table) != 0, f"data-file byte {i} flip not detected"
-        assert (ledger.read_bytes(), table.read_bytes()) == (ledger_bytes, mutated)
-
-
 def _flipped(data, i):
     return data[:i] + bytes([data[i] ^ 0x01]) + data[i + 1 :]
 
 
-def _assert_read_verdicts_match_the_object_path(ledger):
+def _assert_read_verdicts_match_the_library(ledger):
     """verify --json and status on the file at ledger say what load_ledger and
     verify_chain say of it: exit code, failure kind, lid or line, and stderr."""
     try:
-        objects = load_ledger(ledger)
+        loaded = load_ledger(ledger)
     except StorageViolation as exc:
         expected = (1, exc.kind.name, exc.line, f"error: {exc}\n")
         expected_status = (3, "", f"error: {exc}\n")
     else:
-        tip = objects.tip_hash or "-"
-        status = f"table name: {objects.name}\nrecords: {len(objects)}\ntip hash: {tip}\n"
+        tip = loaded.tip_hash or "-"
+        status = f"table name: {loaded.name}\nrecords: {len(loaded)}\ntip hash: {tip}\n"
         expected_status = (0, status, "")
         try:
-            verify_chain(objects)
+            verify_chain(loaded)
             expected = (0, None, None, "")
         except InvalidLedgerError as exc:
             expected = (1, exc.kind.name, exc.lid, "")
@@ -656,15 +617,15 @@ def _assert_read_verdicts_match_the_object_path(ledger):
     return expected
 
 
-def _table_verdict_of_the_object_path(ledger, table):
+def _table_verdict_of_the_library(ledger, table):
     """(exit code, table payload, stderr) of verify --table for a chain that
     verifies, by load_ledger, read_table_rows and verify_against_table."""
-    objects = load_ledger(ledger)
+    loaded = load_ledger(ledger)
     try:
-        rows = read_table_rows(table, objects.name)
+        rows = read_table_rows(table, loaded.name)
     except (StorageViolation, StoreMismatchError) as exc:
         return (3 if isinstance(exc, StorageViolation) else 2), None, f"error: {exc}\n"
-    divergences = verify_against_table(objects, DataTable(objects.name, tuple(rows)))
+    divergences = verify_against_table(loaded, DataTable(loaded.name, tuple(rows)))
     payload = {
         "consistent": not divergences,
         "rows": len(rows),
@@ -681,23 +642,49 @@ def _table_verdict_of_the_object_path(ledger, table):
     return int(bool(divergences)), payload, ""
 
 
-def test_read_verdicts_match_the_object_path_on_every_single_byte_flip(paths):
-    """The store of test_verify_detects_every_single_byte_flip: each flip of a
-    ledger byte gives verify and status the object path's verdict, and each
-    flip of a data-file byte gives verify --table its verdict."""
+def test_verify_detects_every_single_byte_flip(paths):
+    """Flip bit 0 of each byte of the ledger, then of the data file, and verify.
+
+    Every record-line byte of the ledger and every byte of the data file
+    makes verify exit non-zero. The ledger header's table name is covered by
+    no hash, so renaming it passes plain verify; verify --table refuses it
+    (exit 2, ledger and data file name different tables). verify writes
+    nothing. Each flip of a ledger byte gives verify --json and status the
+    verdict of load_ledger and verify_chain, and each flip of a data-file byte
+    gives verify --table the verdict of verify_against_table.
+    """
     ledger, table = _init_and_fill(paths)
     ledger_bytes, table_bytes = ledger.read_bytes(), table.read_bytes()
+    header_end = ledger_bytes.index(b"\n") + 1
+    name_start = ledger_bytes.index(b" Events ") + 1
+    name_bytes = set(range(name_start, name_start + len("Events")))
+
+    def verify(*extra):
+        return invoke_cli(["verify", "--ledger", ledger, *extra])[0]
+
+    passed_plain_verify = set()
     for i in range(len(ledger_bytes)):
-        ledger.write_bytes(_flipped(ledger_bytes, i))
-        _assert_read_verdicts_match_the_object_path(ledger)
+        mutated = _flipped(ledger_bytes, i)
+        ledger.write_bytes(mutated)
+        if verify() == 0:
+            assert i < header_end, f"record-line byte {i} flip not detected"
+            passed_plain_verify.add(i)
+            assert verify("--table", table) == 2, i
+        _assert_read_verdicts_match_the_library(ledger)
+        assert (ledger.read_bytes(), table.read_bytes()) == (mutated, table_bytes)
+    assert passed_plain_verify == name_bytes
+
     ledger.write_bytes(ledger_bytes)
     for i in range(len(table_bytes)):
-        table.write_bytes(_flipped(table_bytes, i))
+        mutated = _flipped(table_bytes, i)
+        table.write_bytes(mutated)
         code, out, err = invoke_cli(["verify", "--ledger", ledger, "--table", table, "--json"])
-        expected, table_payload, expected_err = _table_verdict_of_the_object_path(ledger, table)
+        expected, table_payload, expected_err = _table_verdict_of_the_library(ledger, table)
         assert (code, err) == (expected, expected_err), i
         if table_payload is not None:
             assert json.loads(out)["table"] == table_payload, i
+        assert verify("--table", table) != 0, f"data-file byte {i} flip not detected"
+        assert (ledger.read_bytes(), table.read_bytes()) == (ledger_bytes, mutated)
 
 
 def _break_link_then_a_later_line(lines, data):
@@ -750,10 +737,10 @@ def _repeat_a_batch_within_itself(lines, data):
 )
 @settings(max_examples=25, deadline=None)
 @given(batches=st.lists(_batches, min_size=3, max_size=6), data=st.data())
-def test_read_verdicts_match_the_object_path_on_damaged_ledgers(damage, batches, data):
+def test_read_verdicts_match_the_library_on_damaged_ledgers(damage, batches, data):
     """A corrupt line is reported ahead of an earlier chain failure, a torn
     tail only after every complete line has passed; the chain checks report
-    their lid. verify and status agree with the object path on each."""
+    their lid. verify and status agree with load_ledger and verify_chain on each."""
     history = Ledger()
     for rows in batches:
         append_batch(history, UpdateBatch(UpdateRecord(*row) for row in rows))
@@ -762,4 +749,4 @@ def test_read_verdicts_match_the_object_path_on_damaged_ledgers(damage, batches,
     with tempfile.TemporaryDirectory() as tmp:
         ledger = Path(tmp) / "l.ctl"
         ledger.write_bytes(text.encode("utf-8"))
-        assert _assert_read_verdicts_match_the_object_path(ledger)[1:3] == (kind, where)
+        assert _assert_read_verdicts_match_the_library(ledger)[1:3] == (kind, where)

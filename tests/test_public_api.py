@@ -2,6 +2,8 @@
 edit to this list."""
 
 import chaintable
+import chaintable.chain
+import chaintable.storage
 
 PUBLIC_NAMES = [
     "ChainRecord",
@@ -68,3 +70,23 @@ def test_deleted_wrappers_stay_deleted():
     ):
         assert not hasattr(chaintable, name), name
     assert not hasattr(chaintable.Ledger, "copy")
+
+
+def test_one_record_type_replaces_the_checked_line():
+    # A checked ledger line is its ChainRecord, so the second shape of a
+    # record and the loader and verifier that served it are gone.
+    assert not hasattr(chaintable.storage, "load_lines")
+    assert not hasattr(chaintable.storage, "CheckedLine")
+    assert not hasattr(chaintable.chain, "verify_lines")
+
+
+def test_a_loaded_record_is_a_tuple_holding_the_update_bytes(tmp_path):
+    ledger, table = tmp_path / "l.ctl", tmp_path / "t.ctd"
+    batch = chaintable.UpdateBatch([chaintable.UpdateRecord(1, "t1", "opt1")])
+    with chaintable.ChainTableStore.create(ledger, table, "Events") as store:
+        store.append(batch)
+    record = chaintable.load_ledger(ledger).records[0]
+    assert isinstance(record, chaintable.ChainRecord) and isinstance(record, tuple)
+    assert record._fields == ("lid", "hash", "prev_hash", "update")
+    assert type(record.update) is bytes
+    assert record.update == chaintable.canonical_encode_update(batch)

@@ -19,6 +19,7 @@ from chaintable import (
     Ledger,
     LedgerFile,
     LockError,
+    MalformedBatchError,
     StorageViolation,
     StorageViolationKind,
     UpdateBatch,
@@ -76,12 +77,12 @@ def test_append_and_load_round_trip(tmp_path):
     assert verify_chain(loaded) is None
 
 
-def test_load_shares_a_linked_prev_hash_with_the_previous_record(tmp_path):
+def test_load_keeps_each_stored_prev_hash(tmp_path):
     path = tmp_path / "l.ctl"
     _write_worked_file(path)
     first, second, third = load_ledger(path).records
-    assert second.prev_hash is first.hash and third.prev_hash is second.hash
-    # A prevHash that does not link is kept as its own stored text.
+    assert (first.prev_hash, second.prev_hash, third.prev_hash) == (None, first.hash, second.hash)
+    # A prevHash that does not link is kept as its stored text too.
     relinked = path.read_bytes().replace(f" {first.hash} [".encode(), f" {'ab' * 32} [".encode())
     path.write_bytes(relinked)
     assert load_ledger(path).records[1].prev_hash == "ab" * 32
@@ -135,14 +136,90 @@ def test_append_refuses_a_hash_that_is_not_lowercase_hex(tmp_path, spoil):
         lf.append(record)
 
 
-def test_append_rejects_multi_record_payload(tmp_path):
+@pytest.mark.parametrize("payload", [list, tuple], ids=["list", "tuple"])
+def test_append_rejects_multi_record_payload(tmp_path, payload):
     path = tmp_path / "l.ctl"
     ledger = build_worked_ledger()
     with LedgerFile.create(path, "Events") as lf:
         with pytest.raises(StorageViolation) as excinfo:
-            lf.append(list(ledger.records))
+            lf.append(payload(ledger.records))
         assert excinfo.value.kind is StorageViolationKind.MULTI_RECORD_WRITE
         assert path.read_bytes() == b"CHAINTABLE-LEDGER v1 Events double-sha256-v1\n"
+        assert len(lf.ledger) == 0
+        lf.append(ledger.records[0])  # a ChainRecord is a tuple, and one record
+        assert len(lf.ledger) == 1
+
+
+_B1 = b'[{"opid":1,"timestamp":"t1","description":"opt1"}]'
+
+
+def _sealed(lid, update, prev_hash=None):
+    return ChainRecord(lid, compute_hash(lid, update, prev_hash), prev_hash, update)
+
+
+@pytest.mark.parametrize(
+    ("record", "refusal"),
+    [
+        (_sealed(1, b'[{"opid": 1,"timestamp":"t1","description":"opt1"}]'), MalformedBatchError),
+        (_sealed(1, b'[{"opid":1,"description":"opt1","timestamp":"t1"}]'), MalformedBatchError),
+        (_sealed(1, b'[{"opid":1,"timestamp":"t\xff","description":null}]'), MalformedBatchError),
+        (_sealed(1, b"[]"), MalformedBatchError),
+        (_sealed(1, _B1[:-1] + b"," + _B1[1:]), MalformedBatchError),  # a key twice
+        (_sealed(1, _B1)._replace(update=_B1.decode()), MalformedBatchError),
+        (_sealed(1, _B1)._replace(hash="AB" * 32), ValueError),
+        (_sealed(1, _B1)._replace(hash="ab" * 31), ValueError),
+        (_sealed(1, _B1)._replace(lid=0), MalformedBatchError),
+        (_sealed(1, _B1)._replace(lid=True), MalformedBatchError),
+        (_sealed(1, _B1)._replace(lid="1"), MalformedBatchError),
+    ],
+    ids=[
+        "space",
+        "key-order",
+        "not-utf8",
+        "empty",
+        "key-twice",
+        "str-update",
+        "upper-hash",
+        "short-hash",
+        "lid-0",
+        "lid-True",
+        "lid-str",
+    ],
+)
+def test_append_refuses_a_record_the_reader_would_refuse(tmp_path, record, refusal):
+    """No line is written that parse_record_line would refuse; a refusal
+    writes no byte and leaves the in-memory ledger as it was."""
+    path = tmp_path / "l.ctl"
+    with LedgerFile.create(path, "Events") as lf:
+        before = path.read_bytes()
+        with pytest.raises(refusal):
+            lf.append(record)
+        assert (path.read_bytes(), len(lf.ledger)) == (before, 0)
+        lf.append(_sealed(1, _B1))
+    assert verify_chain(load_ledger(path)) is None
+
+
+def test_a_record_of_canonical_bytes_comes_back_equal_after_a_reopen(tmp_path):
+    path = tmp_path / "l.ctl"
+    first = _sealed(1, _B1)
+    second = _sealed(2, canonical_encode_update(WORKED_BATCHES[1]), first.hash)
+    with LedgerFile.create(path, "Events") as lf:
+        lf.append(first)
+        lf.append(second)
+        assert lf.ledger.records == [first, second]
+    with LedgerFile.open(path) as lf:
+        assert lf.ledger.records == [first, second]
+    assert load_ledger(path).records == [first, second]
+
+
+def test_append_keeps_the_bytes_of_a_record_given_a_batch(tmp_path):
+    path = tmp_path / "l.ctl"
+    batch = WORKED_BATCHES[0]
+    with LedgerFile.create(path, "Events") as lf:
+        lf.append(ChainRecord(1, compute_hash(1, batch, None), None, batch))
+        (kept,) = lf.ledger.records
+    assert type(kept.update) is bytes and kept.update == canonical_encode_update(batch)
+    assert load_ledger(path).records == [kept]
 
 
 def test_append_detects_out_of_band_change(tmp_path):
@@ -384,9 +461,10 @@ def test_parse_record_line_agrees_with_the_parser_it_replaced(line, lineno):
         return
     lid, stored_hash, prev_hash, update = parse_record_line(line, lineno)
     assert (lid, stored_hash, prev_hash) == (expected.lid, expected.hash, expected.prev_hash)
-    assert update == canonical_encode_update(expected.update)
-    assert decode_rows(row_texts(update)) == expected.update.records
-    assert row_count(update) == len(expected.update.records)
+    rows = tuple(UpdateRecord(**row) for row in json.loads(expected.update))
+    assert update == expected.update
+    assert decode_rows(row_texts(update)) == rows
+    assert row_count(update) == len(rows)
 
 
 _NOT_A_LINE = "record line is not <lid> <hash hex> <prevHash hex or -> <update>"

@@ -15,6 +15,7 @@ import chaintable.storage
 import chaintable.store
 import chaintable.table
 from chaintable import (
+    ChainRecord,
     ChainTableStore,
     DataTable,
     UpdateBatch,
@@ -63,12 +64,24 @@ def _counting(monkeypatch):
 
 def _loads_and_verifies(monkeypatch):
     """Count ledger loads (the one function that parses a ledger file's bytes)
-    and chain verifications (verify_lines, the one verifier, which verify_chain
-    calls), under every name that calls it, from here on."""
+    and chain verifications (verify_chain, the one verifier), under every name
+    that calls it, from here on."""
     calls = Counter()
     _count(monkeypatch, calls, chaintable.storage, "_parse_file")
-    for module in (chaintable.chain, chaintable.cli):
-        _count(monkeypatch, calls, module, "verify_lines")
+    for module in (chaintable.chain, chaintable.cli, chaintable.store):
+        _count(monkeypatch, calls, module, "verify_chain")
+    return calls
+
+
+def _counting_records(monkeypatch):
+    """Count every ChainRecord built, by its one constructor, from here on."""
+    calls, new = Counter(), ChainRecord.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls["records"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ChainRecord, "__new__", counting)
     return calls
 
 
@@ -208,7 +221,7 @@ def test_each_command_loads_the_ledger_once_and_verifies_it_at_most_once(
     calls = _loads_and_verifies(monkeypatch)
     code, _, err = invoke_cli(argv, batch)
     assert code == 0, err
-    assert (calls["_parse_file"], calls["verify_lines"]) == LOADS_AND_VERIFIES[command]
+    assert (calls["_parse_file"], calls["verify_chain"]) == LOADS_AND_VERIFIES[command]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -216,9 +229,9 @@ def test_open_loads_and_verifies_once_and_an_append_does_neither(tmp_path, monke
     ledger, table = _store(tmp_path, n)
     calls = _loads_and_verifies(monkeypatch)
     with ChainTableStore.open(ledger, table) as store:
-        assert (calls["_parse_file"], calls["verify_lines"]) == (1, 1)
+        assert (calls["_parse_file"], calls["verify_chain"]) == (1, 1)
         store.append(UpdateBatch([UpdateRecord(1, "new", "x")]))
-        assert (calls["_parse_file"], calls["verify_lines"]) == (1, 1)
+        assert (calls["_parse_file"], calls["verify_chain"]) == (1, 1)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -277,7 +290,7 @@ READ_COMMANDS = ["status", "verify", "verify --table", "reconstruct", "materiali
     # tamper forges the last record, so it needs one.
     [(c, n) for c in [*READ_COMMANDS, "append", "tamper"] for n in SIZES if n or c != "tamper"],
 )
-def test_only_commands_that_hold_a_ledger_build_chain_records(tmp_path, monkeypatch, command, n):
+def test_each_command_builds_one_chain_record_per_ledger_line(tmp_path, monkeypatch, command, n):
     ledger, table = _store(tmp_path, n)
     argv = {
         "status": ["status", "--ledger", ledger],
@@ -289,22 +302,22 @@ def test_only_commands_that_hold_a_ledger_build_chain_records(tmp_path, monkeypa
         "tamper": ["tamper", "--ledger", ledger, "--scenario", "2", "--set", "x"],
     }[command]
     batch = '[{"opid":1,"timestamp":"new","description":"x"}]' if command == "append" else None
-    calls = Counter()
-    # The one function that builds a ChainRecord from a checked ledger line.
-    _count(monkeypatch, calls, chaintable.storage, "_chain_record")
+    calls = _counting_records(monkeypatch)
     code, _, err = invoke_cli(argv, batch)
     assert code == 0, err
-    # Read commands work from the checked lines; a writer holds the Ledger.
-    assert calls["_chain_record"] == (0 if command in READ_COMMANDS else n)
+    # A checked line is its record. append seals one more, which the ledger
+    # file keeps as it is; tamper forges twice (the attack and the cascade
+    # count), each building the edited record and its re-hashed one.
+    extra = {"append": 1, "tamper": 4}.get(command, 0)
+    assert calls["records"] == n + extra
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_open_builds_each_chain_record_once(tmp_path, monkeypatch, n):
     ledger, table = _store(tmp_path, n)
-    calls = Counter()
-    _count(monkeypatch, calls, chaintable.storage, "_chain_record")
+    calls = _counting_records(monkeypatch)
     ChainTableStore.open(ledger, table).close()
-    assert calls["_chain_record"] == n
+    assert calls["records"] == n
 
 
 @pytest.mark.parametrize("n", SIZES)
