@@ -12,9 +12,8 @@ text it is stored and printed as, 64 lowercase hex characters. Tampering any
 stored field of record k breaks recomputation at k or linkage at k+1, so
 restoring a verifiable chain forces rewriting every hash from k to the end.
 A broken chain is one outcome, InvalidLedgerError, naming the lid and check.
-A record is its stored line's four fields, the update kept as its canonical
-bytes: the reader (storage.parse_record_line) and seal build the same tuple,
-so every command verifies, replays and writes one record type.
+A record is its stored line's four fields, the update as its canonical bytes;
+the reader (storage.parse_record_line) and seal build that one record type.
 """
 
 from __future__ import annotations
@@ -113,10 +112,13 @@ def verify_chain(ledger: Ledger) -> None:
 
     Checks per record, in order: lid contiguity, genesis rule (prevHash
     absent iff lid 1), linkage to the previous stored hash, and recomputation
-    of the stored hash. An empty chain is valid.
+    of the stored hash. An empty chain is valid. A record holding a batch, not
+    its bytes, is refused (MalformedBatchError); only LedgerFile.append takes one.
     """
     tip = None
     for expected_lid, (lid, stored_hash, prev_hash, update) in enumerate(ledger.records, start=1):
+        if not isinstance(update, bytes):
+            raise MalformedBatchError(f"record {lid} update is not bytes: {type(update).__name__}")
         if lid != expected_lid:
             raise InvalidLedgerError(expected_lid, FailureKind.LID_GAP)
         if (prev_hash is None) != (lid == 1):

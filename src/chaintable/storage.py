@@ -13,12 +13,10 @@ Preconditions reject lid gaps and prevHash mismatches before any byte is
 written, and every append is flushed to stable storage before returning.
 Loading splits lines and reads the header by the rules the data file shares
 (table.stored_lines, table.parse_header); only the ledger's repair drops a
-torn final line. Each record line is checked once, into its ChainRecord: one
-pattern, which embeds the canonical-form pattern of an update, splits it into
-a lid, a hash, a prevHash (hashes stay the stored hex text) and an update,
-kept as the line's own bytes, and no key may be in the update twice.
-load_ledger and LedgerFile.open are the one loader, and LedgerFile.append
-refuses every record whose line that check would refuse.
+torn final line. Each record line is checked once, by one pattern that embeds
+the update's canonical form and by a no-key-twice check, into its ChainRecord
+(the update kept as the line's own bytes). load_ledger and LedgerFile.open share
+one loader, and LedgerFile.append refuses any record that check refuses.
 """
 
 from __future__ import annotations
@@ -64,10 +62,12 @@ def render_record(record: ChainRecord) -> str:
     return f"{record.lid} {record.hash} {prev} {record.update.decode('utf-8')}"
 
 
-def parse_record_line(line: str, lineno: int, data: bytes | None = None) -> ChainRecord:
-    """Check one record line into its record. Any deviation from what
-    render_record writes is corrupt. The update is sliced from data (the
-    line's bytes) if given."""
+def parse_record_line(
+    line: str, lineno: int, data: bytes | None = None, tip: str | None = None
+) -> ChainRecord:
+    """Check one record line into its record; any deviation from what render_record
+    writes is corrupt. The update is sliced from data (the line's bytes) if given;
+    a prevHash equal to tip (the previous hash) is tip, so a hash is held once."""
     try:
         fields = _RECORD_LINE.fullmatch(line)
         if fields is None:
@@ -77,7 +77,7 @@ def parse_record_line(line: str, lineno: int, data: bytes | None = None) -> Chai
             raise ValueError("update is not in canonical form")
         # lid, hash and prevHash are ASCII: the update has the same offset in data.
         update = fields[4].encode("utf-8") if data is None else data[fields.start(4) :]
-        prev_hash = None if fields[3] == ABSENT_PREV else fields[3]
+        prev_hash = tip if fields[3] == tip else None if fields[3] == ABSENT_PREV else fields[3]
         return ChainRecord(lid, fields[2], prev_hash, check_keys(update))
     except (ValueError, MalformedBatchError) as exc:
         raise StorageViolation(StorageViolationKind.CORRUPT_RECORD, str(exc), line=lineno) from exc
@@ -86,7 +86,10 @@ def parse_record_line(line: str, lineno: int, data: bytes | None = None) -> Chai
 def _parse_file(raw: bytes, repair: bool) -> Ledger:
     lines = stored_lines(raw, repair)
     name = parse_header(next(lines)[1], _HEADER_PREFIX, _HEADER_SUFFIX)
-    return Ledger([parse_record_line(text, lineno, data) for lineno, text, data in lines], name)
+    records: list[ChainRecord] = []
+    for lineno, text, data in lines:
+        records.append(parse_record_line(text, lineno, data, records[-1].hash if records else None))
+    return Ledger(records, name)
 
 
 def load_ledger(path: str | os.PathLike[str], repair: bool = False) -> Ledger:

@@ -12,10 +12,12 @@ from chaintable import (
     FailureKind,
     InvalidLedgerError,
     Ledger,
+    MalformedBatchError,
     UpdateBatch,
     UpdateRecord,
     append_batch,
     canonical_encode_update,
+    compute_hash,
     decode_update,
     materialize,
     reconstruct,
@@ -61,6 +63,23 @@ def test_append_refuses_invalid_ledger():
     )
     with pytest.raises(InvalidLedgerError):
         append_batch(ledger, UpdateBatch([UpdateRecord(9, "t9", "x")]))
+
+
+def test_a_ledger_of_a_record_holding_a_batch_is_refused_up_front():
+    """compute_hash takes a batch as its bytes, and LedgerFile.append keeps the
+    bytes of a record given one; every function over an in-memory Ledger refuses
+    such a record the same way, before it reads a row."""
+    batch = WORKED_BATCHES[0]
+    record = ChainRecord(1, compute_hash(1, batch, None), None, batch)
+    assert record.hash == build_worked_ledger().records[0].hash
+    ledger = Ledger([record])
+    empty = DataTable(name="Events", rows=())
+    for read in (verify_chain, reconstruct, materialize, lambda led: verify_against_table(led, empty)):
+        with pytest.raises(MalformedBatchError, match="record 1 update is not bytes"):
+            read(ledger)
+    with pytest.raises(MalformedBatchError):
+        append_batch(ledger, WORKED_BATCHES[1])
+    assert ledger.records == [record]
 
 
 def _failure(ledger: Ledger) -> tuple[int, FailureKind]:

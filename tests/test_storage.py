@@ -77,12 +77,16 @@ def test_append_and_load_round_trip(tmp_path):
     assert verify_chain(loaded) is None
 
 
-def test_load_keeps_each_stored_prev_hash(tmp_path):
+def test_load_shares_a_linked_prev_hash_with_the_previous_record(tmp_path):
     path = tmp_path / "l.ctl"
     _write_worked_file(path)
     first, second, third = load_ledger(path).records
-    assert (first.prev_hash, second.prev_hash, third.prev_hash) == (None, first.hash, second.hash)
-    # A prevHash that does not link is kept as its stored text too.
+    assert first.prev_hash is None
+    assert second.prev_hash is first.hash and third.prev_hash is second.hash
+    with LedgerFile.open(path) as lf:  # the writer's loader shares them too
+        first, second, third = lf.ledger.records
+        assert second.prev_hash is first.hash and third.prev_hash is second.hash
+    # A prevHash that does not link is kept as its own stored text.
     relinked = path.read_bytes().replace(f" {first.hash} [".encode(), f" {'ab' * 32} [".encode())
     path.write_bytes(relinked)
     assert load_ledger(path).records[1].prev_hash == "ab" * 32
