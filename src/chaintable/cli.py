@@ -7,6 +7,9 @@ Exit codes are machine-stable so scripts can gate on them:
     1  integrity violation detected (broken chain, divergent table)
     2  usage or validation error (nothing written)
     3  I/O or storage failure (nothing partially written)
+
+A refusal is an exception: a ChainTableError exits with its class's exit_code,
+a ValueError or FileExistsError with 2 and any other OSError with 3.
 """
 
 from __future__ import annotations
@@ -28,22 +31,10 @@ from .encoding import (
     record_as_dict,
     row_count,
 )
-from .errors import (
-    ChainTableError,
-    DuplicateKeyError,
-    InvalidLedgerError,
-    LidOutOfRangeError,
-    LockError,
-    MalformedBatchError,
-    StorageFailureError,
-    StorageViolation,
-    StorageViolationKind,
-    StoreInconsistentError,
-    StoreMismatchError,
-)
+from .errors import ChainTableError, InvalidLedgerError, StorageViolation
 from .storage import load_ledger
 from .store import ChainTableStore
-from .table import read_table_rows, render_data_file, replace_file
+from .table import data_file_tail, read_table_rows, render_data_file, replace_file
 
 EXIT_OK = 0
 EXIT_INTEGRITY = 1
@@ -114,16 +105,6 @@ def _divergence_line(div: Divergence) -> str:
     return f"  row {div.position}: expected {expected}, found {found}"
 
 
-def _holds(path: str | Path, chunks: Iterable[bytes]) -> bool:
-    """Whether the file at path holds exactly chunks, compared as they are made."""
-    data, end = Path(path).read_bytes(), 0
-    for chunk in chunks:
-        if not data.startswith(chunk, end):
-            return False
-        end += len(chunk)
-    return end == len(data)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         ledger = load_ledger(args.ledger)
@@ -150,7 +131,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # Rows, of either file, are decoded only when the data file differs.
         updates = [record.update for record in ledger.records]
         rows, divergences = sum(map(row_count, updates)), ()
-        if not _holds(args.table, render_data_file(ledger.name, updates)):
+        if data_file_tail(args.table, ledger.name, updates) != b"":
             found = read_table_rows(args.table, ledger.name)
             rows, divergences = len(found), compare_rows(decode_history(updates), found)
         payload["table"] = {
@@ -218,14 +199,13 @@ def cmd_tamper(args: argparse.Namespace) -> int:
     ledger = load_ledger(args.ledger)
     n = len(ledger)
     if n == 0:
-        _fail("ledger holds no records; nothing to tamper with")
-        return EXIT_USAGE
+        raise ValueError("ledger holds no records; nothing to tamper with")
     if args.scenario == 1 and args.lid is None:
-        _fail("--scenario 1 requires --lid")
-        return EXIT_USAGE
+        raise ValueError("--scenario 1 requires --lid")
     if args.scenario == 2 and (args.lid, args.rehash_through) != (None, None):
-        _fail("--scenario 2 always forges the final record; it takes no --lid or --rehash-through")
-        return EXIT_USAGE
+        raise ValueError(
+            "--scenario 2 always forges the final record; it takes no --lid or --rehash-through"
+        )
 
     lid, rehashed = (args.lid, args.rehash_through) if args.scenario == 1 else (n, n)
     forged = forge(ledger, lid, args.record, args.set, rehashed)
@@ -337,30 +317,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         return args.handler(args)
-    except StorageViolation as exc:
+    except (ChainTableError, OSError, ValueError) as exc:
         _fail(str(exc))
-        if exc.kind is StorageViolationKind.MULTI_RECORD_WRITE:
-            return EXIT_USAGE
-        return EXIT_STORAGE
-    except (InvalidLedgerError, StoreInconsistentError) as exc:
-        _fail(str(exc))
-        return EXIT_INTEGRITY
-    except (
-        MalformedBatchError,
-        DuplicateKeyError,
-        StoreMismatchError,
-        LidOutOfRangeError,
-        FileExistsError,
-        ValueError,
-    ) as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
-    except (LockError, StorageFailureError, OSError) as exc:
-        _fail(str(exc))
-        return EXIT_STORAGE
-    except ChainTableError as exc:  # any remaining library error is a usage problem
-        _fail(str(exc))
-        return EXIT_USAGE
+        if isinstance(exc, ChainTableError):
+            return exc.exit_code
+        return EXIT_USAGE if isinstance(exc, (FileExistsError, ValueError)) else EXIT_STORAGE
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Plain I/O problems raise the builtin OSError family (FileExistsError,
 FileNotFoundError, ...); everything domain-specific derives from
-ChainTableError so callers can catch one base.
+ChainTableError so callers can catch one base. A class's exit_code is the
+CLI's exit code for it: 1 integrity violation, 2 usage error, 3 storage failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ if TYPE_CHECKING:
 
 class ChainTableError(Exception):
     """Base class for all chain-table domain errors."""
+    exit_code = 2
 
 
 class MalformedBatchError(ChainTableError):
@@ -25,6 +27,7 @@ class MalformedBatchError(ChainTableError):
 class InvalidLedgerError(ChainTableError):
     """The ledger fails chain verification: lid is the first failing record,
     kind says which check it failed."""
+    exit_code = 1
 
     def __init__(self, lid: int, kind: "FailureKind") -> None:
         self.lid = lid
@@ -38,6 +41,7 @@ class DuplicateKeyError(ChainTableError):
 
 class StorageFailureError(ChainTableError):
     """A coupled table+ledger write failed partway; see message for state."""
+    exit_code = 3
 
 
 class LidOutOfRangeError(ChainTableError):
@@ -46,6 +50,7 @@ class LidOutOfRangeError(ChainTableError):
 
 class LockError(ChainTableError):
     """The ledger file's writer lock is held by another process."""
+    exit_code = 3
 
 
 class StoreMismatchError(ChainTableError):
@@ -54,6 +59,7 @@ class StoreMismatchError(ChainTableError):
 
 class StoreInconsistentError(ChainTableError):
     """Data file content is not a prefix of the ledger's row history."""
+    exit_code = 1
 
 
 class StorageViolationKind(enum.Enum):
@@ -69,11 +75,13 @@ class StorageViolation(ChainTableError):
     """A write-principle or on-disk integrity rule was violated.
 
     kind states which rule; line is the 1-based file line for
-    CORRUPT_RECORD, None otherwise.
+    CORRUPT_RECORD, None otherwise. A batch of several records is a usage
+    error; every other kind is a storage failure.
     """
 
     def __init__(self, kind: StorageViolationKind, detail: str, line: int | None = None) -> None:
         self.kind = kind
+        self.exit_code = 2 if kind is StorageViolationKind.MULTI_RECORD_WRITE else 3
         self.detail = detail
         self.line = line
         where = f" (line {line})" if line is not None else ""

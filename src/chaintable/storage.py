@@ -173,7 +173,8 @@ class LedgerFile:
         (MalformedBatchError); and a lid that skips or repeats (LID_GAP), a
         prevHash that does not match the stored tip (PREV_HASH_MISMATCH), and
         any out-of-band change to the file since open (NON_APPEND_WRITE).
-        The update may be given as a batch; the ledger keeps its bytes.
+        The update may be given as a batch, which checked its bytes when it was
+        built; the ledger keeps those bytes.
         """
         if not isinstance(record, ChainRecord):
             if isinstance(record, (list, tuple, Ledger)):
@@ -189,7 +190,7 @@ class LedgerFile:
         if update is record.update:  # given as bytes: checked as a stored line's update is
             check_update(update)
         else:
-            record = ChainRecord(record.lid, record.hash, record.prev_hash, update)
+            record = record._replace(update=update)
         expected_lid = len(self.ledger) + 1
         if record.lid != expected_lid:
             raise StorageViolation(

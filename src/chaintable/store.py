@@ -20,7 +20,7 @@ from .chain import ChainRecord, Ledger, seal, verify_chain
 from .encoding import UpdateBatch, decode_history, key_texts, render_batch
 from .errors import DuplicateKeyError, StorageFailureError, StoreInconsistentError
 from .storage import LedgerFile
-from .table import DataTable, append_data_rows, create_data_file, read_table_rows, render_data_file
+from .table import DataTable, append_data_rows, create_data_file, data_file_tail, read_table_rows
 
 
 class ChainTableStore:
@@ -81,16 +81,15 @@ class ChainTableStore:
             verify_chain(ledger)
             keys = {key for record in ledger.records for key in key_texts(record.update)}
             updates = (record.update for record in ledger.records)
-            expected = b"".join(render_data_file(ledger.name, updates))  # type: ignore[arg-type]
-            found = table_path.read_bytes()
-            if not expected.startswith(found):
+            tail = data_file_tail(table_path, ledger.name, updates)  # type: ignore[arg-type]
+            if tail is None:
                 read_table_rows(table_path, ledger.name)
                 raise StoreInconsistentError(
                     "data file content is not a prefix of the ledger history; "
                     "verify and reconstruct instead of appending"
                 )
-            if len(found) < len(expected):
-                append_data_rows(table_path, expected[len(found) :])
+            if tail:
+                append_data_rows(table_path, tail)
         except Exception:
             ledger_file.close()
             raise
@@ -124,7 +123,7 @@ class ChainTableStore:
             clashes = [row.key for row, key in zip(batch, keys) if key in self._keys]
             raise DuplicateKeyError(f"(opid, timestamp) already present in table: {clashes}")
         record = seal(self.ledger, batch)
-        self._ledger_file.append(record)
+        self._ledger_file.append(record._replace(update=batch))  # its bytes are not re-checked
         self._keys.update(keys)
         try:
             append_data_rows(self._table_path, render_batch(record.update))

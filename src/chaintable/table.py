@@ -118,6 +118,20 @@ def render_data_file(name: str, updates: Iterable[bytes]) -> Iterator[bytes]:
     yield from map(render_batch, updates)
 
 
+def data_file_tail(path: str | os.PathLike[str], name: str, updates: Iterable[bytes]) -> bytes | None:
+    """The bytes the data file at path lacks of render_data_file(name, updates),
+    compared one batch at a time: b"" if it holds exactly that rendering, None
+    if it is not a byte prefix of it."""
+    data, end = Path(path).read_bytes(), 0
+    chunks = render_data_file(name, updates)
+    for chunk in chunks:
+        if not data.startswith(chunk, end):
+            rest = data[end:]
+            return chunk[len(rest) :] + b"".join(chunks) if chunk.startswith(rest) else None
+        end += len(chunk)
+    return b"" if end == len(data) else None
+
+
 def write_durably(file: str | os.PathLike[str] | int, chunks: Iterable[bytes], mode: str) -> None:
     """Write chunks to file (a path or a descriptor), on stable storage before return."""
     with open(file, mode) as fh:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chaintable.store
 from chaintable import (
     DataTable,
     InvalidLedgerError,
@@ -257,6 +258,45 @@ def test_missing_files_are_storage_failures(paths):
     assert invoke_cli(["status", "--ledger", ledger])[0] == 3
     assert invoke_cli(["verify", "--ledger", ledger])[0] == 3
     assert invoke_cli(["append", "--ledger", ledger, "--table", table], B1)[0] == 3
+
+
+def _assert_one_error_line(err):
+    assert err.count("error: ") == 1 and err.endswith("\n") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_append_while_another_writer_holds_the_lock_is_a_storage_failure(paths):
+    ledger, table = _init_and_fill(paths)
+    before = ledger.read_bytes(), table.read_bytes()
+    with LedgerFile.open(ledger):
+        code, _, err = invoke_cli(["append", "--ledger", ledger, "--table", table], B1)
+    assert code == 3 and err == f"error: another writer holds the lock on {ledger}\n"
+    _assert_one_error_line(err)
+    assert (ledger.read_bytes(), table.read_bytes()) == before
+
+
+def test_append_to_a_data_file_that_is_no_prefix_is_an_integrity_failure(paths):
+    ledger, table = _init_and_fill(paths)
+    table.write_bytes(table.read_bytes().replace(b"opt2", b"opt5"))
+    before = ledger.read_bytes(), table.read_bytes()
+    batch = '[{"opid":4,"timestamp":"t9","description":"x"}]'
+    code, _, err = invoke_cli(["append", "--ledger", ledger, "--table", table], batch)
+    assert code == 1 and "not a prefix of the ledger history" in err
+    _assert_one_error_line(err)
+    assert (ledger.read_bytes(), table.read_bytes()) == before
+
+
+def test_append_whose_data_file_write_fails_after_the_ledger_committed(paths, monkeypatch):
+    ledger, table = _init_and_fill(paths)
+
+    def failing_write(path, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(chaintable.store, "append_data_rows", failing_write)
+    batch = '[{"opid":4,"timestamp":"t9","description":"x"}]'
+    code, _, err = invoke_cli(["append", "--ledger", ledger, "--table", table], batch)
+    assert code == 3 and "ledger record 4 committed but the data file write failed" in err
+    _assert_one_error_line(err)
 
 
 def test_usage_errors_from_argparse(paths):

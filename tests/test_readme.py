@@ -7,6 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import chaintable
+from chaintable import ChainTableError, StorageViolation, StorageViolationKind
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = README.parent / "src"
 
@@ -80,3 +83,26 @@ def test_console_transcripts_replay_as_written(tmp_path):
             _run_console_block(blocks[0][1], cwd)
         _run_console_block(block, cwd)
     assert rebuilt == 1
+
+
+def test_exit_code_table_names_each_error_class_once_with_its_exit_code():
+    """Every exported ChainTableError class (a StorageViolation per kind) is
+    named in exactly one row of the README's exit-code table, and that row's
+    code is its exit_code."""
+    section = README.read_text(encoding="utf-8").split("## Exit codes", 1)[1].split("\n## ", 1)[0]
+    codes: dict[tuple[str, str | None], list[int]] = {}
+    for code, cells in re.findall(r"^\| (\d) \|(.*)\|$", section, re.MULTILINE):
+        for name, kinds in re.findall(r"`(\w+)(?:\(([\w, ]+)\))?`", cells):
+            for kind in kinds.split(", ") if kinds else [None]:
+                codes.setdefault((name, kind), []).append(int(code))
+    exported = [getattr(chaintable, name) for name in chaintable.__all__]
+    errors = [c for c in exported if isinstance(c, type) and issubclass(c, ChainTableError)]
+    assert StorageViolation in errors
+    for cls in errors:
+        if cls is StorageViolation:
+            assert ("StorageViolation", None) not in codes
+            for kind in StorageViolationKind:
+                code = StorageViolation(kind, "detail").exit_code
+                assert codes.get(("StorageViolation", kind.name)) == [code], kind
+        else:
+            assert codes.get((cls.__name__, None)) == [cls.exit_code], cls

@@ -157,6 +157,30 @@ def test_open_completes_a_data_file_torn_inside_its_header(tmp_path):
     _assert_open_completes_each_cut(tmp_path, lambda whole: range(header + 1))
 
 
+def _batch_span(whole, index):
+    """(start, end) of the worked batch at index in a whole rendered data file."""
+    sizes = [len(render_batch(canonical_encode_update(b))) for b in WORKED_BATCHES]
+    end = len(whole) - sum(sizes[index + 1 :])
+    return end - sizes[index], end
+
+
+def test_open_completes_a_data_file_cut_inside_a_multi_row_batch(tmp_path):
+    assert len(WORKED_BATCHES[1]) == 2
+    _assert_open_completes_each_cut(tmp_path, lambda whole: range(*_batch_span(whole, 1)))
+
+
+def test_open_refuses_a_data_file_that_differs_inside_a_batch_after_a_matching_prefix(tmp_path):
+    ledger_path, table_path = _create_worked(tmp_path)
+    whole = table_path.read_bytes()
+    _, end = _batch_span(whole, 1)
+    # The batch's first row matches; its second row differs; the last batch is missing.
+    table_path.write_bytes(whole[:end].replace(b'"opt3"', b'"opt7"'))
+    before = table_path.read_bytes()
+    with pytest.raises(StoreInconsistentError):
+        ChainTableStore.open(ledger_path, table_path)
+    assert table_path.read_bytes() == before
+
+
 def test_cli_append_completes_an_empty_data_file(tmp_path):
     # What a crash inside create_data_file leaves: a ledger and a 0-byte data file.
     ledger_path, table_path = _paths(tmp_path)

@@ -109,9 +109,10 @@ def test_in_session_append_encodes_only_the_new_batch(tmp_path, monkeypatch, n):
     ledger, table = _store(tmp_path, n)
     with ChainTableStore.open(ledger, table) as store:
         calls = _counting(monkeypatch)
+        _count(monkeypatch, calls, chaintable.storage, "check_update")
         store.append(UpdateBatch([UpdateRecord(1, "new", "x")]))
-    # One hash: the new record's.
-    assert (calls["compute_hash"], calls["_encode_records"]) == (1, 1)
+    # One hash: the new record's. The bytes the batch checked are not checked again.
+    assert (calls["compute_hash"], calls["_encode_records"], calls["check_update"]) == (1, 1, 0)
 
 
 @pytest.mark.parametrize("n", SIZES)
