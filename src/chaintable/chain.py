@@ -12,15 +12,14 @@ text it is stored and printed as, 64 lowercase hex characters. Tampering any
 stored field of record k breaks recomputation at k or linkage at k+1, so
 restoring a verifiable chain forces rewriting every hash from k to the end.
 A broken chain is one outcome, InvalidLedgerError, naming the lid and check.
-A record is its stored line's four fields, the update as its canonical bytes;
-the reader (storage.parse_record_line) and seal build that one record type.
+A record is the tuple of its stored line's four fields, the update as its
+canonical bytes, which the reader (storage.parse_record_line) and seal build.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .encoding import (
@@ -64,7 +63,6 @@ def check_lid(lid: object) -> None:
         raise MalformedBatchError(f"lid must be a positive integer, got {lid!r}")
 
 
-@dataclass
 class Ledger:
     """Ordered chain records with contiguous lids 1..n.
 
@@ -76,8 +74,8 @@ class Ledger:
     built in memory.
     """
 
-    records: list[ChainRecord] = field(default_factory=list)
-    name: str | None = None
+    def __init__(self, records: list[ChainRecord] | None = None, name: str | None = None) -> None:
+        self.records, self.name = ([] if records is None else records), name
 
     def __len__(self) -> int:
         return len(self.records)
@@ -87,8 +85,7 @@ class Ledger:
         return self.records[-1].hash if self.records else None
 
 
-@dataclass(frozen=True)
-class Divergence:
+class Divergence(NamedTuple):
     """One row-level disagreement between ledger history and a table."""
 
     position: int  # 1-based row position

@@ -6,8 +6,9 @@ opid, timestamp, description, no insignificant whitespace, UTF-8 bytes, and
 an explicit null for a deletion's absent description. Equal batches encode to
 identical bytes; any field difference changes the bytes.
 
-A batch is its canonical bytes, checked once however it is made: by one pattern
-of the canonical form, which a ledger line's pattern embeds, and no key twice
+A record is a tuple checked by the record rules (_row_record builds decoded rows
+unchecked). A batch is its canonical bytes, checked once however it is made: by
+one canonical-form pattern, which a ledger line's pattern embeds, and no key twice
 (check_keys), after the record rules and one encode for rows not read from a file.
 Rows are decoded from the bytes only when used.
 """
@@ -17,8 +18,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MalformedBatchError, StorageViolation, StorageViolationKind
 
@@ -60,20 +60,25 @@ def _check_row(opid: Any, timestamp: Any, description: Any) -> None:
         raise MalformedBatchError(f"field is not valid unicode text: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class UpdateRecord:
+class _RecordFields(NamedTuple):
+    opid: int
+    timestamp: str
+    description: str | None
+
+
+class UpdateRecord(_RecordFields):
     """One data-table row: opid, timestamp, description.
 
     description None encodes a deletion. The timestamp is an opaque token;
     it is carried and compared only for equality, never ordered.
     """
 
-    opid: int
-    timestamp: str
-    description: str | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __post_init__(self) -> None:
-        _check_row(self.opid, self.timestamp, self.description)
+    def __new__(cls, opid: int, timestamp: str, description: str | None = None) -> UpdateRecord:
+        _check_row(opid, timestamp, description)
+        return tuple.__new__(cls, (opid, timestamp, description))
 
     @property
     def key(self) -> tuple[int, str]:
@@ -87,13 +92,10 @@ class UpdateRecord:
 
 def _row_record(row: dict[str, Any]) -> UpdateRecord:
     """The one place an UpdateRecord is made from values already checked, by
-    _check_row or by the canonical pattern."""
-    record = object.__new__(UpdateRecord)
-    object.__setattr__(record, "__dict__", row)
-    return record
+    _check_row or by the canonical pattern (which fixes the key order)."""
+    return tuple.__new__(UpdateRecord, row.values())
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class UpdateBatch:
     """The ordered, non-empty set of rows written by one table operation.
 
@@ -102,24 +104,21 @@ class UpdateBatch:
     rows. records is decoded from the bytes on first use and kept too.
     """
 
-    _encoded: bytes
-    _records: tuple[UpdateRecord, ...] | None = field(compare=False, repr=False)
+    __slots__ = ("_encoded", "_records")
 
     def __init__(self, records: Iterable[UpdateRecord]) -> None:
         records = tuple(records)
         for record in records:
             if not isinstance(record, UpdateRecord):
                 raise MalformedBatchError(f"not an update record: {record!r}")
-        encoded = _encode_records([record_as_dict(r) for r in records])
-        object.__setattr__(self, "_encoded", _canonical_bytes(encoded))
-        object.__setattr__(self, "_records", records)
+        self._encoded = _canonical_bytes(_encode_records([record_as_dict(r) for r in records]))
+        self._records: tuple[UpdateRecord, ...] | None = records
 
     @property
     def records(self) -> tuple[UpdateRecord, ...]:
         if self._records is None:
-            records = tuple(_ROWS.raw_decode(self._encoded.decode("utf-8"))[0])
-            object.__setattr__(self, "_records", records)
-        return self._records  # type: ignore[return-value]
+            self._records = tuple(_ROWS.raw_decode(self._encoded.decode("utf-8"))[0])
+        return self._records
 
     def keys(self) -> list[bytes]:
         """Each row's opid and timestamp as canonical text, so equal texts are equal keys."""
@@ -130,6 +129,15 @@ class UpdateBatch:
 
     def __len__(self) -> int:
         return row_count(self._encoded)
+
+    def __eq__(self, other: object) -> bool:
+        return self._encoded == other._encoded if isinstance(other, UpdateBatch) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._encoded)
+
+    def __repr__(self) -> str:
+        return f"UpdateBatch({self._encoded!r})"
 
 
 def record_as_dict(record: UpdateRecord) -> dict[str, Any]:
@@ -245,8 +253,7 @@ def _batch_from_value(data: Any) -> UpdateBatch:
         raise MalformedBatchError("update encoding must be a JSON array of records")
     encoded = _canonical_bytes(_encode_records([_checked_row(obj) for obj in data]))
     batch = object.__new__(UpdateBatch)  # the rows are checked dicts, not UpdateRecords
-    object.__setattr__(batch, "_encoded", encoded)
-    object.__setattr__(batch, "_records", None)
+    batch._encoded, batch._records = encoded, None
     return batch
 
 

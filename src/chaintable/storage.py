@@ -25,7 +25,6 @@ import errno
 import fcntl
 import os
 import re
-from dataclasses import dataclass
 from io import FileIO
 from pathlib import Path
 
@@ -110,7 +109,6 @@ def read_ledger_header(path: str | os.PathLike[str]) -> str:
     return parse_header(next(stored_lines(first))[1], _HEADER_PREFIX, _HEADER_SUFFIX)
 
 
-@dataclass
 class LedgerFile:
     """Writer handle for one on-disk ledger.
 
@@ -120,10 +118,8 @@ class LedgerFile:
     parsed once by open, then extended by each append.
     """
 
-    path: Path
-    ledger: Ledger
-    _fh: FileIO
-    _size: int
+    def __init__(self, path: Path, ledger: Ledger, fh: FileIO, size: int) -> None:
+        self.path, self.ledger, self._fh, self._size = path, ledger, fh, size
 
     @classmethod
     def create(cls, path: str | os.PathLike[str], table_name: str) -> "LedgerFile":
@@ -160,24 +156,25 @@ class LedgerFile:
         except Exception:
             fh.close()
             raise
-        return cls(path=path, ledger=ledger, _fh=fh, _size=size)
+        return cls(path, ledger, fh, size)
 
     def append(self, record: ChainRecord) -> None:
         """Append exactly one record at end-of-file, durable before return.
 
         Rejects, without writing a byte, every record whose line a reader
-        would refuse: anything that is not a single ChainRecord
-        (MULTI_RECORD_WRITE), a lid that is not a positive int
-        (MalformedBatchError), a hash that is not 64 lowercase hex characters
-        (ValueError), update bytes that are not canonical or repeat a key
-        (MalformedBatchError); and a lid that skips or repeats (LID_GAP), a
-        prevHash that does not match the stored tip (PREV_HASH_MISMATCH), and
-        any out-of-band change to the file since open (NON_APPEND_WRITE).
+        would refuse: a list, plain tuple or Ledger of records
+        (MULTI_RECORD_WRITE), any other value that is not a ChainRecord
+        (TypeError), a lid that is not a positive int (MalformedBatchError), a
+        hash that is not 64 lowercase hex characters (ValueError), update bytes
+        that are not canonical or repeat a key (MalformedBatchError); and a lid
+        that skips or repeats (LID_GAP), a prevHash that does not match the
+        stored tip (PREV_HASH_MISMATCH), and any out-of-band change to the file
+        since open (NON_APPEND_WRITE).
         The update may be given as a batch, which checked its bytes when it was
         built; the ledger keeps those bytes.
         """
         if not isinstance(record, ChainRecord):
-            if isinstance(record, (list, tuple, Ledger)):
+            if isinstance(record, (list, Ledger)) or type(record) is tuple:
                 raise StorageViolation(
                     StorageViolationKind.MULTI_RECORD_WRITE,
                     "only one record may be written at a time",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -25,7 +24,6 @@ DATA_VERSION = "v1"
 _DATA_PREFIX = f"{DATA_MAGIC} {DATA_VERSION} "
 
 
-@dataclass(frozen=True)
 class DataTable:
     """Ordered append-only row history of one protected table.
 
@@ -34,8 +32,8 @@ class DataTable:
     history remains representable for comparison.
     """
 
-    name: str
-    rows: tuple[UpdateRecord, ...] = ()
+    def __init__(self, name: str, rows: tuple[UpdateRecord, ...] = ()) -> None:
+        self.name, self.rows = name, rows
 
     def keys(self) -> set[tuple[int, str]]:
         return {row.key for row in self.rows}

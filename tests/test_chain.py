@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from chaintable import (
     ChainRecord,
     DataTable,
+    Divergence,
     FailureKind,
     InvalidLedgerError,
     Ledger,
@@ -24,6 +25,7 @@ from chaintable import (
     verify_against_table,
     verify_chain,
 )
+from chaintable.encoding import decode_record, encode_record
 from chaintable.storage import render_record
 from conftest import (
     WORKED_BATCHES,
@@ -175,6 +177,55 @@ def test_materialize_deletion_becomes_tombstone():
     assert entries[2].is_deletion and entries[2].timestamp == "t5"
     assert (entries[1].timestamp, entries[1].description) == ("t4", "opt4")
     assert (entries[3].timestamp, entries[3].description) == ("t3", "opt3")
+
+
+def _ledger_of(batch: UpdateBatch) -> Ledger:
+    ledger = Ledger()
+    append_batch(ledger, batch)
+    return ledger
+
+
+@pytest.mark.parametrize(
+    "decode",
+    [
+        lambda batch: (decode_record(encode_record(batch.records[0])),),
+        lambda batch: decode_update(canonical_encode_update(batch)).records,
+        lambda batch: materialize(_ledger_of(batch)),
+        lambda batch: reconstruct(_ledger_of(batch)).rows,
+    ],
+    ids=["decode_record", "decode_update", "materialize", "reconstruct"],
+)
+@pytest.mark.parametrize(
+    "record",
+    [UpdateRecord(2, "t2", "opt2"), UpdateRecord(3, "t3", None), UpdateRecord(4, 'a"\\', 'é\n\x01')],
+    ids=["row", "deletion", "escapes"],
+)
+def test_a_constructed_record_equals_and_hashes_as_each_decoded_one(decode, record):
+    (decoded,) = decode(UpdateBatch([record]))
+    assert type(decoded) is UpdateRecord
+    assert (decoded == record, hash(decoded) == hash(record)) == (True, True)
+    assert (decoded.key, decoded.is_deletion) == (record.key, record.is_deletion)
+
+
+@pytest.mark.parametrize(
+    ("value", "fields"),
+    [
+        (UpdateRecord(1, "t1", "x"), ("opid", "timestamp", "description", "key")),
+        (build_worked_ledger().records[0], ("lid", "hash", "prev_hash", "update")),
+        (Divergence(1, 1, None, UpdateRecord(1, "t1", "x")), ("position", "opid", "expected", "found")),
+    ],
+    ids=["UpdateRecord", "ChainRecord", "Divergence"],
+)
+def test_a_value_refuses_assignment_to_any_field(value, fields):
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_ledgers_built_apart_share_no_records():
+    first, second = Ledger(), Ledger()
+    append_batch(first, WORKED_BATCHES[0])
+    assert (len(first), second.records, Ledger().records) == (1, [], [])
 
 
 def test_verify_against_table_consistent():

@@ -76,6 +76,10 @@ def test_record_validation():
         UpdateRecord(1, 7, "x")
     with pytest.raises(MalformedBatchError):
         UpdateRecord(1, "t1", 7)
+    with pytest.raises(MalformedBatchError):  # a tuple's other constructors check too
+        UpdateRecord(1, "t1", "x")._replace(opid=0)
+    with pytest.raises(MalformedBatchError):
+        UpdateRecord._make((1, "t\n1", "x"))
 
 
 def test_batch_must_be_non_empty():
@@ -125,6 +129,9 @@ def test_a_decoded_batch_equals_and_hashes_as_the_batch_it_encodes():
     assert decoded.records == batch.records
     assert [r.key for r in decoded] == [(2, "t2"), (3, "t3")]
     assert decoded != UpdateBatch([UpdateRecord(2, "t2", "opt2")])
+    encoded = canonical_encode_update(batch)  # a batch equals only a batch of its bytes
+    assert batch != encoded and batch != batch.records and batch != batch.records[0]
+    assert batch.__eq__(encoded) is NotImplemented and repr(encoded) in repr(batch)
 
 
 def test_parse_batch_input_accepts_one_batch():

@@ -11,7 +11,10 @@ being in __all__.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +52,19 @@ def unused_imports(source: str) -> list[str]:
                     quoted = ast.parse(part.value, mode="eval")
                     used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
     return sorted((name for name in imported if name not in used), key=imported.__getitem__)
+
+
+def test_the_package_and_cli_import_neither_dataclasses_nor_inspect():
+    """A CLI process pays for no module it does not run: dataclasses pulls in
+    inspect, ast, dis and tokenize. -S keeps site's own imports out of the check."""
+    child = (
+        "import sys, chaintable, chaintable.cli\n"
+        "loaded = sorted({'dataclasses', 'inspect'} & sys.modules.keys())\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run([sys.executable, "-S", "-c", child], env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from chaintable import (
     ChainRecord,
+    Divergence,
     InvalidLedgerError,
     Ledger,
     LedgerFile,
@@ -31,7 +32,13 @@ from chaintable import (
 from chaintable.chain import compute_hash
 from chaintable.encoding import canonical_encode_update, decode_rows, row_count, row_texts
 from chaintable.storage import parse_record_line, read_ledger_header, render_record
-from conftest import WORKED_BATCHES, build_worked_ledger, parse_record_line_oracle, random_batch
+from conftest import (
+    WORKED_BATCHES,
+    WORKED_HISTORY,
+    build_worked_ledger,
+    parse_record_line_oracle,
+    random_batch,
+)
 
 
 def _write_worked_file(path) -> Ledger:
@@ -152,6 +159,29 @@ def test_append_rejects_multi_record_payload(tmp_path, payload):
         assert len(lf.ledger) == 0
         lf.append(ledger.records[0])  # a ChainRecord is a tuple, and one record
         assert len(lf.ledger) == 1
+
+
+@pytest.mark.parametrize(
+    ("payload", "kind"),
+    [
+        (lambda records: WORKED_HISTORY[0], None),
+        (lambda records: Divergence(1, 1, WORKED_HISTORY[0], None), None),
+        (list, StorageViolationKind.MULTI_RECORD_WRITE),
+        (tuple, StorageViolationKind.MULTI_RECORD_WRITE),
+    ],
+    ids=["UpdateRecord", "Divergence", "list", "tuple"],
+)
+def test_append_refuses_a_value_that_is_not_one_chain_record(tmp_path, payload, kind):
+    """A tuple type other than ChainRecord is a TypeError, as any other value
+    is; a plain list or tuple of records is MULTI_RECORD_WRITE. Neither writes."""
+    path = tmp_path / "l.ctl"
+    ledger = build_worked_ledger()
+    with LedgerFile.create(path, "Events") as lf:
+        before = path.read_bytes()
+        with pytest.raises(TypeError if kind is None else StorageViolation) as excinfo:
+            lf.append(payload(ledger.records))
+        assert getattr(excinfo.value, "kind", None) is kind
+        assert (path.read_bytes(), len(lf.ledger)) == (before, 0)
 
 
 _B1 = b'[{"opid":1,"timestamp":"t1","description":"opt1"}]'
