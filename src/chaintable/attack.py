@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 
 from .chain import ChainRecord, Ledger, compute_hash
-from .encoding import UpdateBatch, UpdateRecord, canonical_encode_update, decode_rows, row_texts
+from .encoding import UpdateBatch, UpdateRecord, decode_rows, row_texts
 from .errors import LidOutOfRangeError, StorageViolation
 from .storage import ledger_header_line, load_ledger, render_record
 from .table import write_durably
@@ -75,7 +75,7 @@ def _replace_description(update: bytes, record_index: int, new_description: str 
         raise ValueError(f"record index {record_index} out of range for a batch of {len(records)}")
     old = records[record_index - 1]
     records[record_index - 1] = UpdateRecord(old.opid, old.timestamp, new_description)
-    return canonical_encode_update(UpdateBatch(records))
+    return UpdateBatch(records)
 
 
 def tamper_ledger(

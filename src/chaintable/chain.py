@@ -13,7 +13,8 @@ stored field of record k breaks recomputation at k or linkage at k+1, so
 restoring a verifiable chain forces rewriting every hash from k to the end.
 A broken chain is one outcome, InvalidLedgerError, naming the lid and check.
 A record is the tuple of its stored line's four fields, the update as its
-canonical bytes, which the reader (storage.parse_record_line) and seal build.
+canonical bytes: the line's own, as the reader (storage.parse_record_line)
+builds it, or the UpdateBatch that is those bytes, as seal builds it.
 """
 
 from __future__ import annotations
@@ -22,15 +23,7 @@ import enum
 import hashlib
 from typing import Iterable, NamedTuple, Sequence
 
-from .encoding import (
-    UpdateBatch,
-    UpdateRecord,
-    canonical_encode_update,
-    decode_history,
-    decode_rows,
-    row_texts,
-    update_bytes,
-)
+from .encoding import UpdateBatch, UpdateRecord, decode_history, decode_rows, row_texts
 from .errors import InvalidLedgerError, MalformedBatchError
 from .table import DataTable
 
@@ -48,8 +41,8 @@ class FailureKind(enum.Enum):
 
 class ChainRecord(NamedTuple):
     """One ledger row as stored; hashes are hex text, prev_hash is None only
-    for the genesis record, and update is the canonical update bytes (rows
-    come from reconstruct, materialize or decode_update)."""
+    for the genesis record, and update is the canonical update bytes, or the
+    UpdateBatch that is them (rows come from reconstruct, materialize or .records)."""
 
     lid: int
     hash: str
@@ -94,12 +87,12 @@ class Divergence(NamedTuple):
     found: UpdateRecord | None  # what the table holds; None = row missing
 
 
-def compute_hash(lid: int, update: bytes | UpdateBatch, prev_hash: str | None) -> str:
+def compute_hash(lid: int, update: bytes, prev_hash: str | None) -> str:
     """Double SHA-256 of the record preimage (see module docstring); update is
-    the canonical bytes or the batch they encode."""
+    the canonical bytes, an UpdateBatch among them."""
     check_lid(lid)
     prev = b"" if prev_hash is None else prev_hash.encode("ascii")
-    preimage = _SEPARATOR.join((str(lid).encode("ascii"), update_bytes(update), prev))
+    preimage = _SEPARATOR.join((str(lid).encode("ascii"), update, prev))
     return hashlib.sha256(hashlib.sha256(preimage).digest()).hexdigest()
 
 
@@ -109,8 +102,8 @@ def verify_chain(ledger: Ledger) -> None:
 
     Checks per record, in order: lid contiguity, genesis rule (prevHash
     absent iff lid 1), linkage to the previous stored hash, and recomputation
-    of the stored hash. An empty chain is valid. A record holding a batch, not
-    its bytes, is refused (MalformedBatchError); only LedgerFile.append takes one.
+    of the stored hash. An empty chain is valid. A record whose update is not
+    bytes is refused (MalformedBatchError); a batch is its bytes.
     """
     tip = None
     for expected_lid, (lid, stored_hash, prev_hash, update) in enumerate(ledger.records, start=1):
@@ -128,13 +121,13 @@ def verify_chain(ledger: Ledger) -> None:
 
 
 def seal(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:
-    """Return the record that carries batch, encoded once, after the ledger's
-    tip; the ledger is left unchanged and is not verified (append_batch
-    verifies it)."""
-    update = canonical_encode_update(batch)
+    """Return the record that carries batch after the ledger's tip; the
+    ledger is left unchanged and is not verified (append_batch verifies it)."""
+    if not isinstance(batch, UpdateBatch):
+        raise MalformedBatchError(f"not an update batch: {batch!r}")
     lid = len(ledger.records) + 1
     prev_hash = ledger.tip_hash
-    return ChainRecord(lid, compute_hash(lid, update, prev_hash), prev_hash, update)
+    return ChainRecord(lid, compute_hash(lid, batch, prev_hash), prev_hash, batch)
 
 
 def append_batch(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:

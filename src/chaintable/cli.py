@@ -70,22 +70,15 @@ def cmd_init(args: argparse.Namespace) -> int:
 
 
 def cmd_append(args: argparse.Namespace) -> int:
-    if args.input is None:
-        raw: str | bytes = sys.stdin.read()
-    else:
-        raw = Path(args.input).read_bytes()
+    raw = sys.stdin.buffer.read() if args.input is None else Path(args.input).read_bytes()
     batch = parse_batch_input(raw)
     with ChainTableStore.open(args.ledger, args.table) as store:
         record = store.append(batch)
+    rows = len(batch.records)
     _emit(
         args,
-        {
-            "lid": record.lid,
-            "hash": record.hash,
-            "prev_hash": record.prev_hash,
-            "records": len(batch),
-        },
-        [f"appended lid {record.lid} ({len(batch)} update record(s))", f"hash: {record.hash}"],
+        {"lid": record.lid, "hash": record.hash, "prev_hash": record.prev_hash, "records": rows},
+        [f"appended lid {record.lid} ({rows} update record(s))", f"hash: {record.hash}"],
     )
     return EXIT_OK
 

@@ -7,10 +7,9 @@ an explicit null for a deletion's absent description. Equal batches encode to
 identical bytes; any field difference changes the bytes.
 
 A record is a tuple checked by the record rules (_row_record builds decoded rows
-unchecked). A batch is its canonical bytes, checked once however it is made: by
-one canonical-form pattern, which a ledger line's pattern embeds, and no key twice
-(check_keys), after the record rules and one encode for rows not read from a file.
-Rows are decoded from the bytes only when used.
+unchecked). A batch is a bytes, its canonical bytes, made one way, from records:
+one encode, then one canonical-form pattern, which a ledger line's pattern
+embeds, and no key twice (check_keys). It keeps the records it was made of.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .errors import MalformedBatchError, StorageViolation, StorageViolationKind
 
@@ -39,7 +38,7 @@ _CANONICAL_UPDATE = re.compile(rf"\[{_ROW}(?:,{_ROW})*+\]")
 # One shared encoder: json.dumps with these options builds a new one per call.
 # It only ever sees fresh lists of fresh dicts, so it skips the cycle check.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, check_circular=False)
-# Decodes a batch's kept bytes, which passed every rule, straight into rows.
+# Decodes checked row texts, a stored line's or a data file's, straight into rows.
 _ROWS = json.JSONDecoder(object_hook=lambda row: _row_record(row))
 _BOUNDARY = b'},{"opid":'  # only between rows, as a " in a JSON string is escaped
 
@@ -92,52 +91,34 @@ class UpdateRecord(_RecordFields):
 
 def _row_record(row: dict[str, Any]) -> UpdateRecord:
     """The one place an UpdateRecord is made from values already checked, by
-    _check_row or by the canonical pattern (which fixes the key order)."""
+    the canonical pattern (which fixes the key order)."""
     return tuple.__new__(UpdateRecord, row.values())
 
 
-class UpdateBatch:
+class UpdateBatch(bytes):
     """The ordered, non-empty set of rows written by one table operation.
 
-    A batch is its canonical bytes, encoded once and kept; equality and
-    hashing compare them, which, the encoding being injective, is comparing
-    rows. records is decoded from the bytes on first use and kept too.
+    A batch is its canonical bytes, checked when it is made, so equality,
+    hashing and len are the bytes' own (the encoding being injective, equal
+    bytes are equal rows). records is the tuple of rows it was made of.
     """
 
-    __slots__ = ("_encoded", "_records")
-
-    def __init__(self, records: Iterable[UpdateRecord]) -> None:
+    def __new__(cls, records: Iterable[UpdateRecord]) -> UpdateBatch:
         records = tuple(records)
         for record in records:
             if not isinstance(record, UpdateRecord):
                 raise MalformedBatchError(f"not an update record: {record!r}")
-        self._encoded = _canonical_bytes(_encode_records([record_as_dict(r) for r in records]))
-        self._records: tuple[UpdateRecord, ...] | None = records
+        encoded = _canonical_bytes(_encode_records([record_as_dict(r) for r in records]))
+        batch = super().__new__(cls, encoded)
+        batch._records = records
+        return batch
 
     @property
     def records(self) -> tuple[UpdateRecord, ...]:
-        if self._records is None:
-            self._records = tuple(_ROWS.raw_decode(self._encoded.decode("utf-8"))[0])
         return self._records
 
-    def keys(self) -> list[bytes]:
-        """Each row's opid and timestamp as canonical text, so equal texts are equal keys."""
-        return key_texts(self._encoded)
-
-    def __iter__(self) -> Iterator[UpdateRecord]:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return row_count(self._encoded)
-
-    def __eq__(self, other: object) -> bool:
-        return self._encoded == other._encoded if isinstance(other, UpdateBatch) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._encoded)
-
-    def __repr__(self) -> str:
-        return f"UpdateBatch({self._encoded!r})"
+    def __reduce__(self) -> tuple[type[UpdateBatch], tuple[tuple[UpdateRecord, ...]]]:
+        return UpdateBatch, (self._records,)  # copy and pickle make it as it was made
 
 
 def record_as_dict(record: UpdateRecord) -> dict[str, Any]:
@@ -157,20 +138,17 @@ def _encode_records(rows: Sequence[dict[str, Any]]) -> str:
     return _ENCODER.encode(rows)
 
 
-def canonical_encode_update(batch: UpdateBatch) -> bytes:
-    """Deterministic byte encoding of a batch, as hashed and as stored."""
+def canonical_encode_update(batch: UpdateBatch) -> UpdateBatch:
+    """Deterministic byte encoding of a batch, as hashed and as stored: the batch itself."""
     if not isinstance(batch, UpdateBatch):
         raise MalformedBatchError(f"not an update batch: {batch!r}")
-    return batch._encoded
+    return batch
 
 
-def update_bytes(update: bytes | UpdateBatch) -> bytes:
-    """An update's canonical bytes, given as those bytes or as the batch they encode."""
-    return update if isinstance(update, bytes) else canonical_encode_update(update)
-
-
-def check_update(encoded: bytes) -> None:
-    """Refuse bytes that are not a batch's canonical bytes, as a ledger line's update is."""
+def check_update(encoded: object) -> None:
+    """Refuse a value that is not a batch's canonical bytes, as a ledger line's update is."""
+    if not isinstance(encoded, bytes):
+        raise MalformedBatchError(f"update is not bytes: {type(encoded).__name__}")
     _canonical_bytes(encoded.decode("utf-8", "surrogateescape"))  # no pattern admits a surrogate
 
 
@@ -185,7 +163,7 @@ def row_count(encoded: bytes) -> int:
 
 
 def key_texts(encoded: bytes) -> list[bytes]:
-    """The key texts of a batch's canonical bytes (see UpdateBatch.keys)."""
+    """Each row's opid and timestamp as canonical text, so equal texts are equal keys."""
     return [row.partition(b',"description":')[0] for row in row_texts(encoded)]
 
 
@@ -222,15 +200,6 @@ def render_batch(encoded: bytes) -> bytes:
     return encoded[1:-1].replace(_BOUNDARY, b'}\n{"opid":') + b"\n"
 
 
-def _checked_row(obj: Any) -> dict[str, Any]:
-    """A decoded row checked by the record rules, rebuilt in canonical key order."""
-    if not isinstance(obj, dict) or obj.keys() != {"opid", "timestamp", "description"}:
-        raise MalformedBatchError("record must be an object of opid, timestamp, description")
-    row = {"opid": obj["opid"], "timestamp": obj["timestamp"], "description": obj["description"]}
-    _check_row(row["opid"], row["timestamp"], row["description"])
-    return row
-
-
 def decode_record(text: str) -> UpdateRecord:
     """Parse one canonical record object, as a data-file row holds it."""
     if not _CANONICAL_ROW.fullmatch(text):
@@ -247,14 +216,18 @@ def _json_value(text: str | bytes) -> Any:
         raise MalformedBatchError(f"invalid update JSON: {exc}") from exc
 
 
+def _input_record(obj: Any) -> UpdateRecord:
+    """The UpdateRecord of one decoded JSON row, which must have exactly its three keys."""
+    if not isinstance(obj, dict) or obj.keys() != {"opid", "timestamp", "description"}:
+        raise MalformedBatchError("record must be an object of opid, timestamp, description")
+    return UpdateRecord(**obj)
+
+
 def _batch_from_value(data: Any) -> UpdateBatch:
     """The batch decoder for decoded JSON values, in any layout."""
     if not isinstance(data, list):
         raise MalformedBatchError("update encoding must be a JSON array of records")
-    encoded = _canonical_bytes(_encode_records([_checked_row(obj) for obj in data]))
-    batch = object.__new__(UpdateBatch)  # the rows are checked dicts, not UpdateRecords
-    batch._encoded, batch._records = encoded, None
-    return batch
+    return UpdateBatch(map(_input_record, data))
 
 
 def decode_update(text: str | bytes) -> UpdateBatch:

@@ -29,7 +29,7 @@ from io import FileIO
 from pathlib import Path
 
 from .chain import HASH_ALGORITHM, ChainRecord, Ledger, check_lid
-from .encoding import _CANONICAL_UPDATE, check_keys, check_update, update_bytes
+from .encoding import _CANONICAL_UPDATE, UpdateBatch, check_keys, check_update
 from .errors import (
     LockError,
     MalformedBatchError,
@@ -165,13 +165,13 @@ class LedgerFile:
         would refuse: a list, plain tuple or Ledger of records
         (MULTI_RECORD_WRITE), any other value that is not a ChainRecord
         (TypeError), a lid that is not a positive int (MalformedBatchError), a
-        hash that is not 64 lowercase hex characters (ValueError), update bytes
-        that are not canonical or repeat a key (MalformedBatchError); and a lid
-        that skips or repeats (LID_GAP), a prevHash that does not match the
-        stored tip (PREV_HASH_MISMATCH), and any out-of-band change to the file
-        since open (NON_APPEND_WRITE).
-        The update may be given as a batch, which checked its bytes when it was
-        built; the ledger keeps those bytes.
+        hash that is not 64 lowercase hex characters (ValueError), an update
+        that is not bytes, or bytes that are not canonical or repeat a key
+        (MalformedBatchError); and a lid that skips or repeats (LID_GAP), a
+        prevHash that does not match the stored tip (PREV_HASH_MISMATCH), and
+        any out-of-band change to the file since open (NON_APPEND_WRITE).
+        An UpdateBatch checked its bytes when it was made, so only an update
+        that is not one is checked here.
         """
         if not isinstance(record, ChainRecord):
             if isinstance(record, (list, Ledger)) or type(record) is tuple:
@@ -183,11 +183,8 @@ class LedgerFile:
         check_lid(record.lid)
         if not isinstance(record.hash, str) or not re.fullmatch(_HASH, record.hash):
             raise ValueError(f"record hash is not 64 lowercase hex characters: {record.hash!r}")
-        update = update_bytes(record.update)
-        if update is record.update:  # given as bytes: checked as a stored line's update is
-            check_update(update)
-        else:
-            record = record._replace(update=update)
+        if not isinstance(record.update, UpdateBatch):
+            check_update(record.update)
         expected_lid = len(self.ledger) + 1
         if record.lid != expected_lid:
             raise StorageViolation(

@@ -224,7 +224,7 @@ def invoke_cli(argv: list, stdin_text: str | None = None) -> tuple[int, str, str
     stdout, stderr = io.StringIO(), io.StringIO()
     old_stdin = sys.stdin
     try:
-        sys.stdin = io.StringIO(stdin_text or "")
+        sys.stdin = io.TextIOWrapper(io.BytesIO((stdin_text or "").encode("utf-8")), "utf-8")
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli_main([str(a) for a in argv])
     finally:

@@ -13,6 +13,7 @@ from chaintable import (
     FailureKind,
     InvalidLedgerError,
     Ledger,
+    LedgerFile,
     MalformedBatchError,
     UpdateBatch,
     UpdateRecord,
@@ -20,10 +21,13 @@ from chaintable import (
     canonical_encode_update,
     compute_hash,
     decode_update,
+    load_ledger,
     materialize,
+    read_data_file,
     reconstruct,
     verify_against_table,
     verify_chain,
+    write_data_file,
 )
 from chaintable.encoding import decode_record, encode_record
 from chaintable.storage import render_record
@@ -33,6 +37,7 @@ from conftest import (
     WORKED_VIEW,
     build_worked_ledger,
     random_ledger,
+    random_op_sequence,
 )
 
 
@@ -67,21 +72,52 @@ def test_append_refuses_invalid_ledger():
         append_batch(ledger, UpdateBatch([UpdateRecord(9, "t9", "x")]))
 
 
-def test_a_ledger_of_a_record_holding_a_batch_is_refused_up_front():
-    """compute_hash takes a batch as its bytes, and LedgerFile.append keeps the
-    bytes of a record given one; every function over an in-memory Ledger refuses
-    such a record the same way, before it reads a row."""
-    batch = WORKED_BATCHES[0]
-    record = ChainRecord(1, compute_hash(1, batch, None), None, batch)
-    assert record.hash == build_worked_ledger().records[0].hash
-    ledger = Ledger([record])
-    empty = DataTable(name="Events", rows=())
-    for read in (verify_chain, reconstruct, materialize, lambda led: verify_against_table(led, empty)):
-        with pytest.raises(MalformedBatchError, match="record 1 update is not bytes"):
-            read(ledger)
-    with pytest.raises(MalformedBatchError):
-        append_batch(ledger, WORKED_BATCHES[1])
-    assert ledger.records == [record]
+def test_append_seals_only_a_batch():
+    """A batch's bytes were checked when it was made; bytes of any origin were not."""
+    ledger = build_worked_ledger()
+    for update in (bytes(WORKED_BATCHES[0]), WORKED_BATCHES[0].records):
+        with pytest.raises(MalformedBatchError, match="not an update batch"):
+            append_batch(ledger, update)
+    assert len(ledger) == 3
+
+
+def test_a_ledger_of_records_holding_batches_reads_as_its_loaded_file(tmp_path):
+    """append_batch's records hold UpdateBatches, load_ledger's hold the line's
+    bytes; a batch is its bytes, so the two ledgers are equal and every read
+    of them gives the same result."""
+    built = Ledger()
+    for batch in random_op_sequence(Random(29), 12):
+        append_batch(built, batch)
+    assert all(type(r.update) is UpdateBatch for r in built.records)
+    ledger_path, table_path = tmp_path / "l.ctl", tmp_path / "t.ctd"
+    with LedgerFile.create(ledger_path, "Events") as lf:
+        for record in built.records:
+            lf.append(record)
+    loaded = load_ledger(ledger_path)
+    assert all(type(r.update) is bytes for r in loaded.records)
+    assert loaded.records == built.records
+    write_data_file(table_path, "Events", reconstruct(built).rows)
+    name, rows = read_data_file(table_path)
+    table = DataTable(name, tuple(rows))
+    forged = DataTable(name, table.rows[:-1] + (UpdateRecord(1, "forged", None),))
+    assert verify_against_table(built, table) == () != verify_against_table(built, forged)
+    for read in (
+        verify_chain,
+        lambda led: reconstruct(led).rows,
+        materialize,
+        lambda led: verify_against_table(led, table),
+        lambda led: verify_against_table(led, forged),
+    ):
+        assert read(built) == read(loaded)
+
+
+def test_a_record_holding_a_str_is_refused():
+    # LedgerFile.append's refusal of it is test_storage's "str-update" case.
+    update = WORKED_BATCHES[0]
+    record = ChainRecord(1, compute_hash(1, update, None), None, update.decode())
+    for read in (verify_chain, reconstruct, materialize):
+        with pytest.raises(MalformedBatchError, match="record 1 update is not bytes: str"):
+            read(Ledger([record]))
 
 
 def _failure(ledger: Ledger) -> tuple[int, FailureKind]:

@@ -597,6 +597,39 @@ def test_non_utf8_input_file_is_invalid_json(paths, tmp_path):
     assert (ledger.read_bytes(), table.read_bytes()) == before
 
 
+def test_append_reads_stdin_as_bytes_whatever_the_io_encoding(tmp_path):
+    """Piped batch bytes and the same bytes given with --input are one input:
+    decoded as UTF-8, not in the process's I/O encoding, so they seal the same
+    record and are refused with the same message."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONIOENCODING"] = "latin-1"
+
+    def append(name, data, from_file):
+        ledger, table, batch = (tmp_path / name / f for f in ("l.ctl", "t.ctd", "batch.json"))
+        batch.parent.mkdir()
+        assert invoke_cli(["init", "Events", "--ledger", ledger, "--table", table])[0] == 0
+        batch.write_bytes(data)
+        argv = [sys.executable, "-m", "chaintable", "append", "--ledger", ledger, "--table", table]
+        result = subprocess.run(
+            argv + (["--input", batch] if from_file else []),
+            input=b"" if from_file else data,
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        return result.returncode, result.stderr, ledger.read_bytes(), table.read_bytes()
+
+    accented = '[{"opid":1,"timestamp":"t1","description":"é"}]'.encode("utf-8")
+    piped, given = append("piped", accented, False), append("given", accented, True)
+    assert piped == given and piped[0] == 0
+    assert piped[2].endswith(b" " + accented + b"\n") and piped[3].endswith(accented[1:-1] + b"\n")
+    piped, given = append("piped-ff", b"\xff[]", False), append("given-ff", b"\xff[]", True)
+    assert piped == given and piped[0] == 2
+    assert b"invalid update JSON: 'utf-8' codec can't decode byte 0xff in position 0" in piped[1]
+
+
 def _run_with_file_size_limit(argv, limit):
     """Run the CLI in a child process whose writes to regular files stop at
     limit bytes (RLIMIT_FSIZE, set for the child only); returns (exit code, stderr)."""

@@ -1,6 +1,8 @@
 """Canonical update encoding: determinism, byte layout, validation."""
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import example, given
@@ -105,7 +107,7 @@ def test_a_duplicate_key_refusal_names_the_first_key_seen_twice(keys, named):
 
 def test_batch_allows_same_opid_different_timestamp():
     batch = UpdateBatch([UpdateRecord(1, "t1", "a"), UpdateRecord(1, "t2", "b")])
-    assert len(batch) == 2
+    assert len(batch.records) == 2
 
 
 def test_decode_record_requires_exact_keys():
@@ -123,15 +125,40 @@ def test_decode_update_round_trip():
 
 
 def test_a_decoded_batch_equals_and_hashes_as_the_batch_it_encodes():
-    batch = UpdateBatch([UpdateRecord(2, "t2", "opt2"), UpdateRecord(3, "t3", None)])
+    records = (UpdateRecord(2, "t2", "opt2"), UpdateRecord(3, "t3", None))
+    batch = UpdateBatch(records)
     decoded = decode_update(canonical_encode_update(batch))
-    assert (decoded == batch, hash(decoded) == hash(batch), len(decoded)) == (True, True, 2)
-    assert decoded.records == batch.records
-    assert [r.key for r in decoded] == [(2, "t2"), (3, "t3")]
+    assert (decoded == batch, hash(decoded) == hash(batch)) == (True, True)
+    assert decoded.records == batch.records == records
+    assert [r.key for r in decoded.records] == [(2, "t2"), (3, "t3")]
     assert decoded != UpdateBatch([UpdateRecord(2, "t2", "opt2")])
-    encoded = canonical_encode_update(batch)  # a batch equals only a batch of its bytes
-    assert batch != encoded and batch != batch.records and batch != batch.records[0]
-    assert batch.__eq__(encoded) is NotImplemented and repr(encoded) in repr(batch)
+    assert batch != batch.records and batch != batch.records[0]
+
+
+def test_a_batch_is_its_canonical_bytes():
+    records = (UpdateRecord(2, "t2", "opt2"), UpdateRecord(3, "t3", None))
+    batch = UpdateBatch(records)
+    encoded = bytes(batch)
+    assert encoded == (
+        b'[{"opid":2,"timestamp":"t2","description":"opt2"},'
+        b'{"opid":3,"timestamp":"t3","description":null}]'
+    )
+    assert isinstance(batch, bytes) and canonical_encode_update(batch) is batch
+    assert (batch == encoded, encoded == batch, hash(batch) == hash(encoded)) == (True, True, True)
+    assert len(batch) == len(encoded) and {batch: 1}[encoded] == 1
+    assert batch.records is records  # the tuple it was made of, kept, not decoded
+    assert all(a is b for a, b in zip(UpdateBatch(iter(records)).records, records))
+    with pytest.raises(AttributeError):
+        batch.records = ()
+    assert batch.records == records
+    for copied in (copy.copy(batch), copy.deepcopy(batch), pickle.loads(pickle.dumps(batch))):
+        assert type(copied) is UpdateBatch and copied == batch and copied.records == records
+    decoded = decode_update(
+        '[ {"description":"opt2","timestamp":"t2","opid":2},\n'
+        '  {"opid":3,"timestamp":"t3","description":null} ]'
+    )
+    assert decoded == batch and decoded.records == records
+    assert type(decoded) is UpdateBatch and type(decoded.records[0]) is UpdateRecord
 
 
 def test_parse_batch_input_accepts_one_batch():
@@ -198,7 +225,7 @@ def _per_record_join_reference(batch: UpdateBatch) -> bytes:
             separators=(",", ":"),
             ensure_ascii=False,
         )
-        for r in batch
+        for r in batch.records
     )
     return ("[" + body + "]").encode("utf-8")
 
@@ -251,6 +278,6 @@ _row_records = st.builds(
 @example([[UpdateRecord(1, "t\u2028", "\\"), UpdateRecord(2, "t\U0001f600", "\x85\u2029")]])
 def test_rendered_rows_equal_the_per_row_encode_join(batches):
     batches = [UpdateBatch(records) for records in batches]
-    expected = "".join(encode_record(r) + "\n" for batch in batches for r in batch)
+    expected = "".join(encode_record(r) + "\n" for batch in batches for r in batch.records)
     rendered = b"".join(render_batch(canonical_encode_update(batch)) for batch in batches)
     assert rendered == expected.encode("utf-8")

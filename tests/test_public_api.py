@@ -3,6 +3,7 @@ edit to this list."""
 
 import chaintable
 import chaintable.chain
+import chaintable.encoding
 import chaintable.storage
 
 PUBLIC_NAMES = [
@@ -78,6 +79,16 @@ def test_one_record_type_replaces_the_checked_line():
     assert not hasattr(chaintable.storage, "load_lines")
     assert not hasattr(chaintable.storage, "CheckedLine")
     assert not hasattr(chaintable.chain, "verify_lines")
+
+
+def test_a_batch_is_its_bytes_with_no_second_spelling():
+    # An UpdateBatch is a bytes, so the helper that turned a batch into its
+    # bytes, the dict rebuild of decoded rows and the batch's own key reader are gone.
+    assert not hasattr(chaintable.encoding, "update_bytes")
+    assert not hasattr(chaintable.encoding, "_checked_row")
+    assert not hasattr(chaintable.UpdateBatch, "keys")
+    for name in ("__eq__", "__hash__", "__len__", "__iter__"):  # the bytes' own
+        assert name not in vars(chaintable.UpdateBatch), name
 
 
 def test_a_loaded_record_is_a_tuple_holding_the_update_bytes(tmp_path):

@@ -165,7 +165,7 @@ def _batch_span(whole, index):
 
 
 def test_open_completes_a_data_file_cut_inside_a_multi_row_batch(tmp_path):
-    assert len(WORKED_BATCHES[1]) == 2
+    assert len(WORKED_BATCHES[1].records) == 2
     _assert_open_completes_each_cut(tmp_path, lambda whole: range(*_batch_span(whole, 1)))
 
 
