@@ -23,7 +23,14 @@ import enum
 import hashlib
 from typing import Iterable, NamedTuple, Sequence
 
-from .encoding import UpdateBatch, UpdateRecord, decode_history, decode_rows, row_texts
+from .encoding import (
+    UpdateBatch,
+    UpdateRecord,
+    canonical_encode_update,
+    decode_history,
+    decode_rows,
+    row_texts,
+)
 from .errors import InvalidLedgerError, MalformedBatchError
 from .table import DataTable
 
@@ -123,11 +130,10 @@ def verify_chain(ledger: Ledger) -> None:
 def seal(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:
     """Return the record that carries batch after the ledger's tip; the
     ledger is left unchanged and is not verified (append_batch verifies it)."""
-    if not isinstance(batch, UpdateBatch):
-        raise MalformedBatchError(f"not an update batch: {batch!r}")
+    update = canonical_encode_update(batch)  # the batch itself; refuses anything else
     lid = len(ledger.records) + 1
     prev_hash = ledger.tip_hash
-    return ChainRecord(lid, compute_hash(lid, batch, prev_hash), prev_hash, batch)
+    return ChainRecord(lid, compute_hash(lid, update, prev_hash), prev_hash, update)
 
 
 def append_batch(ledger: Ledger, batch: UpdateBatch) -> ChainRecord:

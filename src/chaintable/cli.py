@@ -77,7 +77,12 @@ def cmd_append(args: argparse.Namespace) -> int:
     rows = len(batch.records)
     _emit(
         args,
-        {"lid": record.lid, "hash": record.hash, "prev_hash": record.prev_hash, "records": rows},
+        {
+            "lid": record.lid,
+            "hash": record.hash,
+            "prev_hash": record.prev_hash,
+            "records": rows,
+        },
         [f"appended lid {record.lid} ({rows} update record(s))", f"hash: {record.hash}"],
     )
     return EXIT_OK

@@ -118,11 +118,11 @@ class ChainTableStore:
                 "a previous append failed after the ledger committed; reopen "
                 "the store to reconcile before writing again"
             )
+        record = seal(self.ledger, batch)  # refuses a non-batch; the ledger is unchanged
         keys = key_texts(batch)
         if not self._keys.isdisjoint(keys):
             clashes = [row.key for row, key in zip(batch.records, keys) if key in self._keys]
             raise DuplicateKeyError(f"(opid, timestamp) already present in table: {clashes}")
-        record = seal(self.ledger, batch)
         self._ledger_file.append(record)  # which does not re-check the batch
         self._keys.update(keys)
         try:

@@ -133,6 +133,7 @@ def test_a_decoded_batch_equals_and_hashes_as_the_batch_it_encodes():
     assert [r.key for r in decoded.records] == [(2, "t2"), (3, "t3")]
     assert decoded != UpdateBatch([UpdateRecord(2, "t2", "opt2")])
     assert batch != batch.records and batch != batch.records[0]
+    assert repr(batch) == repr(bytes(batch))
 
 
 def test_a_batch_is_its_canonical_bytes():

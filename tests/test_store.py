@@ -9,6 +9,7 @@ from chaintable import (
     ChainTableStore,
     DuplicateKeyError,
     InvalidLedgerError,
+    MalformedBatchError,
     StorageFailureError,
     StorageViolation,
     StorageViolationKind,
@@ -75,6 +76,22 @@ def test_append_rejects_duplicate_key_with_no_effect(tmp_path):
             store.append(UpdateBatch([UpdateRecord(1, "t1", "again")]))
         assert ledger_path.read_bytes() == ledger_before
         assert table_path.read_bytes() == table_before
+        store.append(WORKED_BATCHES[1])  # store still usable
+
+
+def test_append_refuses_bytes_that_are_not_a_batch_whatever_their_keys(tmp_path):
+    """A batch's bytes are refused as not a batch, before the key check, so
+    they get the same refusal with their key new and with it already stored."""
+    ledger_path, table_path = _paths(tmp_path)
+    with ChainTableStore.create(ledger_path, table_path, "Events") as store:
+        for stored in (False, True):
+            if stored:
+                store.append(WORKED_BATCHES[0])
+            files = (ledger_path.read_bytes(), table_path.read_bytes())
+            with pytest.raises(MalformedBatchError, match="not an update batch"):
+                store.append(bytes(WORKED_BATCHES[0]))
+            assert (ledger_path.read_bytes(), table_path.read_bytes()) == files
+        assert len(store.ledger) == 1
         store.append(WORKED_BATCHES[1])  # store still usable
 
 
