@@ -8,7 +8,6 @@ table itself is append-only: inserts, updates, and deletions all become new
 rows, and the current state is a replay projection, never a mutation.
 """
 
-from .attack import measure_rewrite_cascade, tamper_ledger
 from .chain import (
     HASH_ALGORITHM,
     ChainRecord,
@@ -47,6 +46,15 @@ from .store import ChainTableStore
 from .table import DataTable, read_data_file, replay_rows, write_data_file
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str) -> object:
+    """The attack simulations, imported on first use: only tamper compiles them."""
+    if name in ("measure_rewrite_cascade", "tamper_ledger"):
+        from . import attack
+        return getattr(attack, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ChainRecord",

@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .attack import forge, measure_rewrite_cascade, overwrite_ledger
 from .chain import Divergence, compare_rows, materialize_rows, verify_chain
 from .encoding import (
     decode_history,
@@ -194,6 +193,7 @@ def cmd_materialize(args: argparse.Namespace) -> int:
 
 
 def cmd_tamper(args: argparse.Namespace) -> int:
+    from .attack import forge, measure_rewrite_cascade, overwrite_ledger  # for tamper alone
     ledger = load_ledger(args.ledger)
     n = len(ledger)
     if n == 0:

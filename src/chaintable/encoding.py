@@ -41,6 +41,9 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, check_cir
 # Decodes checked row texts, a stored line's or a data file's, straight into rows.
 _ROWS = json.JSONDecoder(object_hook=lambda row: _row_record(row))
 _BOUNDARY = b'},{"opid":'  # only between rows, as a " in a JSON string is escaped
+# A row's key text: its opid and timestamp as canonical text. {"opid": only starts
+# a row, as a " in a string is escaped, so no key text crosses a line break.
+_KEY_TEXT = re.compile(rb'\{"opid":([0-9]++,"timestamp":"[^"\\\n]*+(?:\\.[^"\\\n]*+)*+")')
 
 
 def _check_row(opid: Any, timestamp: Any, description: Any) -> None:
@@ -162,9 +165,11 @@ def row_count(encoded: bytes) -> int:
     return encoded.count(_BOUNDARY) + 1
 
 
-def key_texts(encoded: bytes) -> list[bytes]:
-    """Each row's opid and timestamp as canonical text, so equal texts are equal keys."""
-    return [row.partition(b',"description":')[0] for row in row_texts(encoded)]
+def key_texts(encoded: bytes, start: int = 0, end: int = sys.maxsize) -> list[bytes]:
+    """Each row's opid and timestamp as canonical text, so equal texts are equal
+    keys, in order: of a batch's canonical bytes, or of every row of the
+    checked record lines in encoded[start:end]."""
+    return _KEY_TEXT.findall(encoded, start, end)
 
 
 def check_keys(encoded: bytes) -> bytes:

@@ -14,9 +14,10 @@ written, and every append is flushed to stable storage before returning.
 Loading splits lines and reads the header by the rules the data file shares
 (table.stored_lines, table.parse_header); only the ledger's repair drops a
 torn final line. Each record line is checked once, by one pattern that embeds
-the update's canonical form and by a no-key-twice check, into its ChainRecord
-(the update kept as the line's own bytes). load_ledger and LedgerFile.open share
-one loader, and LedgerFile.append refuses any record that check refuses.
+the update's canonical form, into its ChainRecord (the update kept as the
+line's own bytes); then one scan of all their key texts decides that no update
+holds a key twice. load_ledger and LedgerFile.open share one loader, and
+LedgerFile.append refuses any record that a reader would refuse.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from io import FileIO
 from pathlib import Path
 
 from .chain import HASH_ALGORITHM, ChainRecord, Ledger, check_lid
-from .encoding import _CANONICAL_UPDATE, UpdateBatch, check_keys, check_update
+from .encoding import _CANONICAL_UPDATE, UpdateBatch, check_keys, check_update, key_texts
 from .errors import (
     LockError,
     MalformedBatchError,
@@ -62,11 +63,12 @@ def render_record(record: ChainRecord) -> str:
 
 
 def parse_record_line(
-    line: str, lineno: int, data: bytes | None = None, tip: str | None = None
+    line: str, lineno: int, data: bytes | None = None, tip: str | None = None, key_check: bool = True
 ) -> ChainRecord:
     """Check one record line into its record; any deviation from what render_record
     writes is corrupt. The update is sliced from data (the line's bytes) if given;
-    a prevHash equal to tip (the previous hash) is tip, so a hash is held once."""
+    a prevHash equal to tip (the previous hash) is tip, so a hash is held once.
+    key_check=False leaves the no-key-twice rule to the caller (the loader's scan)."""
     try:
         fields = _RECORD_LINE.fullmatch(line)
         if fields is None:
@@ -77,18 +79,39 @@ def parse_record_line(
         # lid, hash and prevHash are ASCII: the update has the same offset in data.
         update = fields[4].encode("utf-8") if data is None else data[fields.start(4) :]
         prev_hash = tip if fields[3] == tip else None if fields[3] == ABSENT_PREV else fields[3]
-        return ChainRecord(lid, fields[2], prev_hash, check_keys(update))
+        return ChainRecord(lid, fields[2], prev_hash, check_keys(update) if key_check else update)
     except (ValueError, MalformedBatchError) as exc:
         raise StorageViolation(StorageViolationKind.CORRUPT_RECORD, str(exc), line=lineno) from exc
 
 
-def _parse_file(raw: bytes, repair: bool) -> Ledger:
+def _check_batch_keys(records: list[ChainRecord]) -> None:
+    """Refuse the first record whose update holds a key twice, naming its line."""
+    for lineno, record in enumerate(records, start=2):
+        try:
+            check_keys(record.update)
+        except MalformedBatchError as exc:
+            kind = StorageViolationKind.CORRUPT_RECORD
+            raise StorageViolation(kind, str(exc), line=lineno) from exc
+
+
+def _parse_file(raw: bytes, repair: bool) -> tuple[Ledger, set[bytes]]:
+    """The Ledger of a ledger file's bytes, and the set of its key texts."""
     lines = stored_lines(raw, repair)
     name = parse_header(next(lines)[1], _HEADER_PREFIX, _HEADER_SUFFIX)
     records: list[ChainRecord] = []
-    for lineno, text, data in lines:
-        records.append(parse_record_line(text, lineno, data, records[-1].hash if records else None))
-    return Ledger(records, name)
+    try:
+        for lineno, text, data in lines:
+            tip = records[-1].hash if records else None
+            records.append(parse_record_line(text, lineno, data, tip, key_check=False))
+    except StorageViolation:
+        _check_batch_keys(records)  # a key twice on an earlier line is the first fault
+        raise
+    # One scan of the checked record lines, after their split is let go; not of
+    # the header (a table name may hold a key text) nor of a torn tail.
+    found = key_texts(raw, raw.index(b"\n") + 1, raw.rfind(b"\n"))
+    if len(keys := set(found)) < len(found):  # a key twice, in one batch or across two
+        _check_batch_keys(records)
+    return Ledger(records, name), keys
 
 
 def load_ledger(path: str | os.PathLike[str], repair: bool = False) -> Ledger:
@@ -99,7 +122,7 @@ def load_ledger(path: str | os.PathLike[str], repair: bool = False) -> Ledger:
     verify_chain's job, and tampered files must stay loadable. With
     repair=True a final unterminated (partially written) line is dropped.
     """
-    return _parse_file(Path(path).read_bytes(), repair)
+    return _parse_file(Path(path).read_bytes(), repair)[0]
 
 
 def read_ledger_header(path: str | os.PathLike[str]) -> str:
@@ -115,11 +138,12 @@ class LedgerFile:
     Holds the advisory writer lock for its lifetime; use as a context
     manager or call close(). Readers never need a handle; load_ledger reads
     a snapshot without locking. ledger holds every record in the file:
-    parsed once by open, then extended by each append.
+    parsed once by open, then extended by each append. keys is the set of
+    the key texts open read; append leaves it to the caller (ChainTableStore).
     """
 
-    def __init__(self, path: Path, ledger: Ledger, fh: FileIO, size: int) -> None:
-        self.path, self.ledger, self._fh, self._size = path, ledger, fh, size
+    def __init__(self, path: Path, ledger: Ledger, keys: set[bytes], fh: FileIO, size: int) -> None:
+        self.path, self.ledger, self.keys, self._fh, self._size = path, ledger, keys, fh, size
 
     @classmethod
     def create(cls, path: str | os.PathLike[str], table_name: str) -> "LedgerFile":
@@ -149,14 +173,14 @@ class LedgerFile:
                     raise LockError(f"another writer holds the lock on {path}") from exc
                 raise
             raw = path.read_bytes()
-            ledger = _parse_file(raw, repair)
+            ledger, keys = _parse_file(raw, repair)
             size = raw.rfind(b"\n") + 1  # less a partial final line, which repair drops
             if size < len(raw):
                 os.ftruncate(fh.fileno(), size)
         except Exception:
             fh.close()
             raise
-        return cls(path, ledger, fh, size)
+        return cls(path, ledger, keys, fh, size)
 
     def append(self, record: ChainRecord) -> None:
         """Append exactly one record at end-of-file, durable before return.

@@ -18,7 +18,7 @@ from chaintable import (
     decode_update,
     parse_batch_input,
 )
-from chaintable.encoding import _CONTROL, decode_record, encode_record, render_batch
+from chaintable.encoding import _CONTROL, decode_record, encode_record, key_texts, render_batch
 
 
 def test_single_record_encoding_is_exact():
@@ -282,3 +282,37 @@ def test_rendered_rows_equal_the_per_row_encode_join(batches):
     expected = "".join(encode_record(r) + "\n" for batch in batches for r in batch.records)
     rendered = b"".join(render_batch(canonical_encode_update(batch)) for batch in batches)
     assert rendered == expected.encode("utf-8")
+
+
+def _key_texts_reference(encoded: bytes) -> list[bytes]:
+    """The per-row split and partition that the one key-text pattern replaced."""
+    return [row.partition(b',"description":')[0] for row in encoded[9:-2].split(b'},{"opid":')]
+
+
+def _holding(text, *pieces):
+    """Text that may hold one of pieces, each escaped when it is encoded."""
+    return st.tuples(text, st.sampled_from(["", *pieces]), text).map("".join)
+
+
+_key_records = st.builds(
+    UpdateRecord,
+    opid=st.one_of(st.integers(1, 2**64), st.integers(10**300, 10**301)),
+    timestamp=_holding(
+        _wide_text(exclude=("Cs", "Cc")), '"', "\\", '\\"', "é€", '{"opid":1,"timestamp":"t"'
+    ).filter(bool),
+    description=st.one_of(
+        st.none(),
+        _holding(
+            _wide_text(_controls), '{"opid":', ',"description":', '"},{"opid":2,"timestamp":"t"'
+        ),
+    ),
+)
+
+
+@given(st.lists(_key_records, min_size=1, max_size=4, unique_by=lambda r: r.key))
+@example([UpdateRecord(1, 't\\"', '{"opid":2,"timestamp":"x","description":null}')])
+@example([UpdateRecord(7, "é\\", ',"description":'), UpdateRecord(7, '"', '{"opid":7,')])
+def test_key_texts_are_the_per_row_partition(records):
+    batch = UpdateBatch(records)
+    assert key_texts(batch) == _key_texts_reference(batch)
+    assert len(key_texts(batch)) == len(records)

@@ -56,10 +56,12 @@ def unused_imports(source: str) -> list[str]:
 
 def test_the_package_and_cli_import_neither_dataclasses_nor_inspect():
     """A CLI process pays for no module it does not run: dataclasses pulls in
-    inspect, ast, dis and tokenize. -S keeps site's own imports out of the check."""
+    inspect, ast, dis and tokenize, and only tamper runs chaintable.attack.
+    -S keeps site's own imports out of the check."""
     child = (
         "import sys, chaintable, chaintable.cli\n"
-        "loaded = sorted({'dataclasses', 'inspect'} & sys.modules.keys())\n"
+        "unwanted = {'dataclasses', 'inspect', 'chaintable.attack'}\n"
+        "loaded = sorted(unwanted & sys.modules.keys())\n"
         "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))

@@ -30,8 +30,15 @@ from chaintable import (
     verify_chain,
 )
 from chaintable.chain import compute_hash
-from chaintable.encoding import canonical_encode_update, decode_rows, row_count, row_texts
-from chaintable.storage import parse_record_line, read_ledger_header, render_record
+from chaintable.encoding import (
+    canonical_encode_update,
+    decode_rows,
+    key_texts,
+    row_count,
+    row_texts,
+)
+from chaintable.storage import _parse_file, parse_record_line, read_ledger_header, render_record
+from chaintable.table import parse_header, stored_lines
 from conftest import (
     WORKED_BATCHES,
     WORKED_HISTORY,
@@ -646,3 +653,104 @@ def test_failed_append_leaves_no_bytes_queued(tmp_path, then):
     assert verify_chain(loaded) is None
     assert loaded.records == ledger.records
     assert path.read_bytes() == before + (render_record(record) + "\n").encode("utf-8")
+
+
+# --- one key scan per load -----------------------------------------------------
+
+_KEY_TEXT_BYTES = '{"opid":1,"timestamp":"t"'  # a key text's bytes outside any row
+_SCAN_TIMESTAMPS = ("t", 't"q', "t\\", "é€", _KEY_TEXT_BYTES)
+_SCAN_DESCRIPTIONS = (
+    None,
+    "d",
+    '{"opid":2,"timestamp":"t","description":null}',
+    ',"description":"x"',
+)
+_scan_rows = st.tuples(
+    st.integers(1, 2), st.sampled_from(_SCAN_TIMESTAMPS), st.sampled_from(_SCAN_DESCRIPTIONS)
+)
+
+
+def _json_update(*rows) -> bytes:
+    """The canonical bytes of rows (opid, timestamp, description), written by
+    json.dumps, so a batch may hold a key twice."""
+    rows = [{"opid": o, "timestamp": t, "description": d} for o, t, d in rows]
+    return json.dumps(rows, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+_NON_CANONICAL = _json_update((1, "t", "d")).replace(b",", b", ", 1)
+_UNDECODABLE = b'[{"opid":1,"timestamp":"\xff","description":null}]'
+_scan_updates = st.one_of(
+    st.lists(_scan_rows, min_size=1, max_size=3).map(lambda rows: _json_update(*rows)),
+    st.sampled_from((_NON_CANONICAL, _UNDECODABLE)),
+)
+# Torn tails: none, one holding a key text no record holds, one holding a key twice.
+_TORN_NEW_KEY = b"9 " + b"ab" * 32 + b' - [{"opid":9,"timestamp":"torn","description":null}]'
+_TORN_KEY_TWICE = b"9 " + b"ab" * 32 + b" - " + _json_update((1, "t", None), (1, "t", None))
+_SCAN_TAILS = (b"", _TORN_NEW_KEY, _TORN_KEY_TWICE)
+
+
+def _ledger_bytes(name: str, updates, tail: bytes) -> bytes:
+    """A ledger file of name and one record line per update (lids 1.., any
+    hashes: loading does not verify the chain), plus an unterminated tail."""
+    lines, prev = [f"CHAINTABLE-LEDGER v1 {name} double-sha256-v1".encode("utf-8")], b"-"
+    for lid, update in enumerate(updates, start=1):
+        hash_hex = f"{lid:064x}".encode()
+        lines.append(b"%d %s %s %s" % (lid, hash_hex, prev, update))
+        prev = hash_hex
+    return b"".join(line + b"\n" for line in lines) + tail
+
+
+def _load_line_by_line(raw: bytes, repair: bool) -> Ledger:
+    """The loader before its one key scan: each line's key check inside its line check."""
+    lines = stored_lines(raw, repair)
+    name = parse_header(next(lines)[1], "CHAINTABLE-LEDGER v1 ", " double-sha256-v1")
+    records: list[ChainRecord] = []
+    for lineno, text, data in lines:
+        records.append(parse_record_line(text, lineno, data, records[-1].hash if records else None))
+    return Ledger(records, name)
+
+
+def _outcome(load, raw: bytes, repair: bool):
+    """(name, records) of a load, or its refusal's (class, message, kind, line)."""
+    try:
+        ledger = load(raw, repair)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "kind", None), getattr(exc, "line", None)
+    return ledger.name, ledger.records
+
+
+_TWICE = _json_update((2, 't"q', "d"), (2, 't"q', None))  # a batch holding a key twice
+_ONCE = _json_update((1, "t", "d"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(("Events", _KEY_TEXT_BYTES)),
+    st.lists(_scan_updates, max_size=6),
+    st.sampled_from(_SCAN_TAILS),
+    st.booleans(),
+)
+@example("Events", [_ONCE, _TWICE], b"", False)  # a key twice in one batch only
+@example("Events", [_ONCE, _ONCE, _TWICE], b"", False)  # and across two batches
+@example("Events", [_ONCE, _ONCE], b"", False)  # across two batches only: loads
+@example("Events", [_NON_CANONICAL, _TWICE], b"", False)
+@example("Events", [_TWICE, _NON_CANONICAL], b"", False)
+@example("Events", [_UNDECODABLE, _TWICE], b"", False)
+@example("Events", [_ONCE, _TWICE, _UNDECODABLE], b"", False)
+@example("Events", [_TWICE], _TORN_NEW_KEY, False)
+@example("Events", [_ONCE], _TORN_KEY_TWICE, False)
+@example("Events", [_ONCE], _TORN_NEW_KEY, True)
+@example("Events", [_ONCE], _TORN_KEY_TWICE, True)
+@example(_KEY_TEXT_BYTES, [], b"", False)
+@example(_KEY_TEXT_BYTES, [_ONCE], b"", False)
+def test_one_key_scan_loads_as_the_line_by_line_check(name, updates, tail, repair):
+    """Every load ends as the line-by-line check ends it: the same records,
+    or the same refusal of the same line. A loaded ledger's key set is its
+    records' key texts, excluding the header's and a torn tail's."""
+    raw = _ledger_bytes(name, updates, tail)
+    expected = _outcome(_load_line_by_line, raw, repair)
+    assert _outcome(lambda raw, repair: _parse_file(raw, repair)[0], raw, repair) == expected
+    if not isinstance(expected[0], type):
+        assert _parse_file(raw, repair)[1] == {
+            key for record in expected[1] for key in key_texts(record.update)
+        }

@@ -9,6 +9,7 @@ from chaintable import (
     ChainTableStore,
     DuplicateKeyError,
     InvalidLedgerError,
+    LedgerFile,
     MalformedBatchError,
     StorageFailureError,
     StorageViolation,
@@ -23,7 +24,8 @@ from chaintable import (
     verify_against_table,
     verify_chain,
 )
-from chaintable.encoding import canonical_encode_update, render_batch
+from chaintable.chain import seal
+from chaintable.encoding import canonical_encode_update, key_texts, render_batch
 from conftest import WORKED_BATCHES, WORKED_HISTORY, invoke_cli, random_op_sequence
 
 
@@ -339,3 +341,58 @@ def test_history_equals_ledger_after_random_injected_failures(tmp_path, monkeypa
         assert tuple(on_disk) == history
     store.close()
     assert len(load_ledger(ledger_path)) == applied
+
+
+_KEY_TEXT_NAME = '{"opid":1,"timestamp":"t"'  # a table name holding a key text's bytes
+
+
+def _key_set(store):
+    """The key texts a store holds, against which its appends are checked."""
+    return store._ledger_file.keys
+
+
+def _record_keys(ledger):
+    return {key for record in ledger.records for key in key_texts(record.update)}
+
+
+def test_open_keys_are_the_records_key_texts(tmp_path):
+    ledger_path, table_path = _paths(tmp_path)
+    with ChainTableStore.create(ledger_path, table_path, "Events") as store:
+        for batch in random_op_sequence(Random(5), 12):
+            store.append(batch)
+    with ChainTableStore.open(ledger_path, table_path) as store:
+        assert _key_set(store) == _record_keys(store.ledger) and len(_key_set(store)) > 12
+
+
+def test_open_keys_hold_neither_the_headers_nor_a_repaired_torn_tails_key_text(tmp_path):
+    ledger_path, table_path = _paths(tmp_path)
+    with ChainTableStore.create(ledger_path, table_path, _KEY_TEXT_NAME) as store:
+        for batch in WORKED_BATCHES:
+            store.append(batch)
+    with open(ledger_path, "ab") as fh:  # a torn write holding a key text no record holds
+        fh.write(b"4 " + b"ab" * 32 + b' - [{"opid":9,"timestamp":"torn","description":null}]')
+    with ChainTableStore.open(ledger_path, table_path, repair=True) as store:
+        assert _key_set(store) == _record_keys(store.ledger)
+        assert {b'1,"timestamp":"t"', b'9,"timestamp":"torn"'}.isdisjoint(_key_set(store))
+        store.append(UpdateBatch([UpdateRecord(1, "t", "the header's key text, as a row")]))
+        store.append(UpdateBatch([UpdateRecord(9, "torn", "the torn tail's, as a row")]))
+    ledger = load_ledger(ledger_path)
+    assert verify_chain(ledger) is None and len(ledger) == len(WORKED_BATCHES) + 2
+
+
+def test_a_key_in_two_batches_written_around_the_store_opens_and_refuses_a_third(tmp_path):
+    ledger_path, table_path = _paths(tmp_path)
+    ChainTableStore.create(ledger_path, table_path, "Events").close()
+    batches = [
+        UpdateBatch([UpdateRecord(1, "t1", "first")]),
+        UpdateBatch([UpdateRecord(2, "t2", "x"), UpdateRecord(1, "t1", "second")]),
+    ]
+    with LedgerFile.open(ledger_path) as ledger_file:
+        for batch in batches:
+            ledger_file.append(seal(ledger_file.ledger, batch))
+    with ChainTableStore.open(ledger_path, table_path) as store:  # completes the data file
+        assert _key_set(store) == {b'1,"timestamp":"t1"', b'2,"timestamp":"t2"'}
+        with pytest.raises(DuplicateKeyError):
+            store.append(UpdateBatch([UpdateRecord(1, "t1", "third")]))
+        assert len(store.ledger) == 2
+    assert read_data_file(table_path)[1] == [row for batch in batches for row in batch.records]

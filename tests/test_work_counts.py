@@ -353,3 +353,47 @@ def test_materialize_builds_only_the_output_it_prints(tmp_path, monkeypatch, n, 
     # for it; rows are built only for the text lines, which --json replaces.
     assert calls["record_as_dict"] == 0
     assert calls["_row_record"] == (0 if "--json" in flags else view_rows)
+
+
+def _key_scans_and_splits(monkeypatch):
+    """Count ledger key scans (the loader's one key_texts over its record lines)
+    and per-batch key splits (check_keys splitting a batch into its key texts)."""
+    scans, splits = Counter(), Counter()
+    _count(monkeypatch, scans, chaintable.storage, "key_texts")
+    _count(monkeypatch, splits, chaintable.encoding, "key_texts")
+    return scans, splits
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("command", [*READ_COMMANDS, "append", "open"])
+def test_each_load_scans_the_key_texts_once_and_splits_no_batch(tmp_path, monkeypatch, n, command):
+    ledger, table, _ = _multi_row_store(tmp_path, n)
+    scans, splits = _key_scans_and_splits(monkeypatch)
+    if command == "open":
+        ChainTableStore.open(ledger, table).close()
+    else:
+        argv = [command.split()[0], "--ledger", ledger]
+        if command in ("verify --table", "append"):
+            argv += ["--table", table]
+        if command == "reconstruct":
+            argv += ["--out", tmp_path / "rebuilt.ctd"]
+        batch = '[{"opid":1,"timestamp":"new","description":"x"}]' if command == "append" else None
+        code, _, err = invoke_cli(argv, batch)
+        assert code == 0, err
+    # The keys are unique, so the one scan decides that no batch holds a key twice.
+    assert (scans["key_texts"], splits["key_texts"]) == (1, 0)
+
+
+@pytest.mark.parametrize("n", (2, 30))
+def test_a_key_in_two_batches_has_each_batch_split_once(tmp_path, monkeypatch, n):
+    ledger, table = tmp_path / "l.ctl", tmp_path / "t.ctd"
+    ChainTableStore.create(ledger, table, "Events").close()
+    with chaintable.storage.LedgerFile.open(ledger) as ledger_file:
+        for i in range(1, n + 1):  # every batch holds the key (1, "t0")
+            rows = [UpdateRecord(1, "t0", f"d{i}"), UpdateRecord(2, f"t{i}", "x")]
+            ledger_file.append(chaintable.chain.seal(ledger_file.ledger, UpdateBatch(rows)))
+    scans, splits = _key_scans_and_splits(monkeypatch)
+    assert len(load_ledger(ledger)) == n
+    ChainTableStore.open(ledger, table).close()
+    # A repeated key text has the load check each batch, which splits it once.
+    assert (scans["key_texts"], splits["key_texts"]) == (2, 2 * n)
