@@ -393,7 +393,8 @@ def test_a_key_in_two_batches_has_each_batch_split_once(tmp_path, monkeypatch, n
             rows = [UpdateRecord(1, "t0", f"d{i}"), UpdateRecord(2, f"t{i}", "x")]
             ledger_file.append(chaintable.chain.seal(ledger_file.ledger, UpdateBatch(rows)))
     scans, splits = _key_scans_and_splits(monkeypatch)
-    assert len(load_ledger(ledger)) == n
-    ChainTableStore.open(ledger, table).close()
     # A repeated key text has the load check each batch, which splits it once.
+    assert len(load_ledger(ledger)) == n
+    assert (scans["key_texts"], splits["key_texts"]) == (1, n)
+    ChainTableStore.open(ledger, table).close()
     assert (scans["key_texts"], splits["key_texts"]) == (2, 2 * n)
