@@ -63,12 +63,12 @@ def render_record(record: ChainRecord) -> str:
 
 
 def parse_record_line(
-    line: str, lineno: int, data: bytes | None = None, tip: str | None = None, key_check: bool = True
+    line: str, lineno: int, data: bytes | None = None, tip: str | None = None
 ) -> ChainRecord:
     """Check one record line into its record; any deviation from what render_record
     writes is corrupt. The update is sliced from data (the line's bytes) if given;
     a prevHash equal to tip (the previous hash) is tip, so a hash is held once.
-    key_check=False leaves the no-key-twice rule to the caller (the loader's scan)."""
+    The no-key-twice rule is the loader's, checked by its one key scan."""
     try:
         fields = _RECORD_LINE.fullmatch(line)
         if fields is None:
@@ -79,8 +79,8 @@ def parse_record_line(
         # lid, hash and prevHash are ASCII: the update has the same offset in data.
         update = fields[4].encode("utf-8") if data is None else data[fields.start(4) :]
         prev_hash = tip if fields[3] == tip else None if fields[3] == ABSENT_PREV else fields[3]
-        return ChainRecord(lid, fields[2], prev_hash, check_keys(update) if key_check else update)
-    except (ValueError, MalformedBatchError) as exc:
+        return ChainRecord(lid, fields[2], prev_hash, update)
+    except ValueError as exc:
         raise StorageViolation(StorageViolationKind.CORRUPT_RECORD, str(exc), line=lineno) from exc
 
 
@@ -102,7 +102,7 @@ def _parse_file(raw: bytes, repair: bool) -> tuple[Ledger, set[bytes]]:
     try:
         for lineno, text, data in lines:
             tip = records[-1].hash if records else None
-            records.append(parse_record_line(text, lineno, data, tip, key_check=False))
+            records.append(parse_record_line(text, lineno, data, tip))
     except StorageViolation:
         _check_batch_keys(records)  # a key twice on an earlier line is the first fault
         raise
@@ -138,8 +138,8 @@ class LedgerFile:
     Holds the advisory writer lock for its lifetime; use as a context
     manager or call close(). Readers never need a handle; load_ledger reads
     a snapshot without locking. ledger holds every record in the file:
-    parsed once by open, then extended by each append. keys is the set of
-    the key texts open read; append leaves it to the caller (ChainTableStore).
+    parsed once by open, then extended by each append. keys is the key texts
+    open read, for ChainTableStore to own and grow; append does not grow it.
     """
 
     def __init__(self, path: Path, ledger: Ledger, keys: set[bytes], fh: FileIO, size: int) -> None:

@@ -2,9 +2,9 @@
 
 The ledger is the source of truth and the store's only history: its
 LedgerFile's one in-memory Ledger of records as the file stores them, grown
-only by durable appends. Beside it the LedgerFile holds the set of key texts
-written (encoding.key_texts), which the load's one key scan built and each
-append's batch grows. Writes go ledger-first, data file second; if
+only by durable appends. Beside it the store keeps just the set of key texts
+written (encoding.key_texts): the load's one key scan builds it, and each
+append's batch grows it. Writes go ledger-first, data file second; if
 the process dies between the two, open() finds the data file to be a byte
 prefix (even empty) of the file the ledger renders and appends the missing
 bytes before accepting new writes. The two paths are independent so the
@@ -27,8 +27,9 @@ from .table import DataTable, append_data_rows, create_data_file, data_file_tail
 class ChainTableStore:
     """Single-writer handle over a (data file, ledger file) pair."""
 
-    def __init__(self, ledger_file: LedgerFile, table_path: Path) -> None:
+    def __init__(self, ledger_file: LedgerFile, keys: set[bytes], table_path: Path) -> None:
         self._ledger_file = ledger_file
+        self._keys = keys
         self._table_path = table_path
         self._broken = False
 
@@ -50,7 +51,7 @@ class ChainTableStore:
             ledger_file.close()
             ledger_path.unlink(missing_ok=True)
             raise
-        return cls(ledger_file, table_path)
+        return cls(ledger_file, set(), table_path)
 
     @classmethod
     def open(
@@ -87,7 +88,7 @@ class ChainTableStore:
         except Exception:
             ledger_file.close()
             raise
-        return cls(ledger_file, table_path)
+        return cls(ledger_file, ledger_file.keys, table_path)
 
     @property
     def ledger(self) -> Ledger:
@@ -113,12 +114,12 @@ class ChainTableStore:
                 "the store to reconcile before writing again"
             )
         record = seal(self.ledger, batch)  # refuses a non-batch; the ledger is unchanged
-        keys, written = key_texts(batch), self._ledger_file.keys
-        if not written.isdisjoint(keys):
-            clashes = [row.key for row, key in zip(batch.records, keys) if key in written]
+        keys = key_texts(batch)
+        if not self._keys.isdisjoint(keys):
+            clashes = [row.key for row, key in zip(batch.records, keys) if key in self._keys]
             raise DuplicateKeyError(f"(opid, timestamp) already present in table: {clashes}")
         self._ledger_file.append(record)  # which does not re-check the batch
-        written.update(keys)
+        self._keys.update(keys)
         try:
             append_data_rows(self._table_path, render_batch(record.update))
         except Exception as exc:

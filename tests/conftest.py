@@ -115,9 +115,10 @@ def _oracle_record(obj: object) -> UpdateRecord:
 
 
 def parse_record_line_oracle(line: str, lineno: int) -> ChainRecord:
-    """Oracle for storage.parse_record_line: build every row as an
-    UpdateRecord, then require the line to equal its re-rendering, made here
-    with json.dumps rather than the library's encoder."""
+    """Oracle for a record line as a load checks it (storage.parse_record_line,
+    then no key twice): build every row as an UpdateRecord, then require the
+    line to equal its re-rendering, made here with json.dumps rather than the
+    library's encoder."""
 
     def corrupt(detail: str) -> StorageViolation:
         return StorageViolation(StorageViolationKind.CORRUPT_RECORD, detail, line=lineno)

@@ -32,6 +32,7 @@ from chaintable import (
 from chaintable.chain import compute_hash
 from chaintable.encoding import (
     canonical_encode_update,
+    check_keys,
     decode_rows,
     key_texts,
     row_count,
@@ -477,6 +478,17 @@ _EDGE_UPDATES = [
 ]
 
 
+def _check_line(line: str, lineno: int, data=None, tip=None) -> ChainRecord:
+    """A record line checked as the loader before its one key scan checked it:
+    parse_record_line, then no key twice in the update, refused at lineno."""
+    record = parse_record_line(line, lineno, data, tip)
+    try:
+        check_keys(record.update)
+    except MalformedBatchError as exc:
+        raise StorageViolation(StorageViolationKind.CORRUPT_RECORD, str(exc), line=lineno) from exc
+    return record
+
+
 def _edge_examples(test):
     for update in _EDGE_UPDATES:
         test = example(f"7 {'ab' * 32} - {update}", 5)(test)
@@ -490,18 +502,19 @@ def _edge_examples(test):
 @example(_GOOD.replace("null", '"\\u00e9"'), 3)
 @example("1\n" + _GOOD[1:], 4)
 def test_parse_record_line_agrees_with_the_parser_it_replaced(line, lineno):
-    """The check-once parser accepts exactly the lines that decoding every
-    row and comparing the re-rendered line accepts, with equal records and
-    rows, and refuses the rest as CORRUPT_RECORD at the same line."""
+    """The check-once parser, with the loader's no-key-twice rule, accepts
+    exactly the lines that decoding every row and comparing the re-rendered
+    line accepts, with equal records and rows, and refuses the rest as
+    CORRUPT_RECORD at the same line."""
     try:
         expected = parse_record_line_oracle(line, lineno)
     except StorageViolation as refusal:
         assert refusal.kind is StorageViolationKind.CORRUPT_RECORD
         with pytest.raises(StorageViolation) as excinfo:
-            parse_record_line(line, lineno)
+            _check_line(line, lineno)
         assert (excinfo.value.kind, excinfo.value.line) == (refusal.kind, lineno)
         return
-    lid, stored_hash, prev_hash, update = parse_record_line(line, lineno)
+    lid, stored_hash, prev_hash, update = _check_line(line, lineno)
     assert (lid, stored_hash, prev_hash) == (expected.lid, expected.hash, expected.prev_hash)
     rows = tuple(UpdateRecord(**row) for row in json.loads(expected.update))
     assert update == expected.update
@@ -519,20 +532,28 @@ _NOT_A_LINE = "record line is not <lid> <hash hex> <prevHash hex or -> <update>"
         (_GOOD.replace("ab", "AB", 1) + " ", _NOT_A_LINE),
         (_GOOD.replace("null", "nul"), "update is not in canonical form"),
         (_GOOD + " ", "update is not in canonical form"),
-        (
-            _GOOD.replace("}]", '},{"opid":1,"timestamp":"t1","description":"x"}]'),
-            'duplicate key within batch: {"opid":1,"timestamp":"t1"}',
-        ),
         # The lid is read before the update is judged.
         ("9" * 5000 + _GOOD[1:].replace("null", "nul"), "Exceeds the limit"),
     ],
-    ids=["fields", "fields-and-update", "update", "update-trailing", "key-twice", "lid-first"],
+    ids=["fields", "fields-and-update", "update", "update-trailing", "lid-first"],
 )
 def test_parse_record_line_names_the_field_at_fault(line, message):
     with pytest.raises(StorageViolation) as excinfo:
         parse_record_line(line, 3)
     assert excinfo.value.line == 3
     assert excinfo.value.detail.startswith(message)
+
+
+def test_a_load_names_the_line_whose_update_holds_a_key_twice(tmp_path):
+    """A key twice in one update is the loader's to refuse, not the line check's."""
+    twice = _GOOD.replace("}]", '},{"opid":1,"timestamp":"t1","description":"x"}]')
+    assert parse_record_line(twice, 3).update == twice.split(" ", 3)[3].encode()
+    path = tmp_path / "l.ctl"
+    path.write_text(f"CHAINTABLE-LEDGER v1 Events double-sha256-v1\n{_GOOD}\n{twice}\n")
+    with pytest.raises(StorageViolation) as excinfo:
+        load_ledger(path)
+    assert (excinfo.value.kind, excinfo.value.line) == (StorageViolationKind.CORRUPT_RECORD, 3)
+    assert excinfo.value.detail.startswith('duplicate key within batch: {"opid":1,"timestamp":"t1"}')
 
 
 # Texts that are not 64 lowercase ASCII hex digits, each refused once as the
@@ -701,12 +722,12 @@ def _ledger_bytes(name: str, updates, tail: bytes) -> bytes:
 
 
 def _load_line_by_line(raw: bytes, repair: bool) -> Ledger:
-    """The loader before its one key scan: each line's key check inside its line check."""
+    """The loader before its one key scan: each line's key check after its line check."""
     lines = stored_lines(raw, repair)
     name = parse_header(next(lines)[1], "CHAINTABLE-LEDGER v1 ", " double-sha256-v1")
     records: list[ChainRecord] = []
     for lineno, text, data in lines:
-        records.append(parse_record_line(text, lineno, data, records[-1].hash if records else None))
+        records.append(_check_line(text, lineno, data, records[-1].hash if records else None))
     return Ledger(records, name)
 
 

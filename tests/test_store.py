@@ -348,7 +348,7 @@ _KEY_TEXT_NAME = '{"opid":1,"timestamp":"t"'  # a table name holding a key text'
 
 def _key_set(store):
     """The key texts a store holds, against which its appends are checked."""
-    return store._ledger_file.keys
+    return store._keys
 
 
 def _record_keys(ledger):
