@@ -25,7 +25,6 @@ from .encoding import (
     decode_history,
     decode_rows,
     encode_record,
-    join_rows,
     parse_batch_input,
     record_as_dict,
     row_count,
@@ -173,14 +172,18 @@ def cmd_materialize(args: argparse.Namespace) -> int:
     verify_chain(ledger)
     rows = materialize_rows(record.update for record in ledger.records)
     _refuse_out_on_ledger(args)
-    if args.json or args.out is not None:
-        # A row text is what json.dumps writes for its row: "deleted" is spliced in.
-        deleted = (b',"deleted":false', b',"deleted":true')
-        view = join_rows([row + deleted[row.endswith(b":null")] for row in rows])
+    if args.json or args.out is not None:  # each row text, as json.dumps writes it, gains "deleted"
+        view = b'[{"opid":' + b',"deleted":false},{"opid":'.join(rows) + b',"deleted":false}]'
+        # Exact, as a " in a string is escaped: only a null description precedes this.
+        view = view.replace(b':null,"deleted":false}', b':null,"deleted":true}') if rows else b"[]"
     if args.out is not None:
-        replace_file(args.out, [view + b"\n"])
-    if args.json:
-        print(f'{{"view":{view.decode()},"out":{json.dumps(args.out, ensure_ascii=False)}}}')
+        replace_file(args.out, [view, b"\n"])
+    if args.json:  # the view's UTF-8 bytes, never decoded, whatever stdout's encoding
+        out = json.dumps(args.out, ensure_ascii=False).encode()
+        sys.stdout.flush()
+        for rest in map(memoryview, (b'{"view":', view, b',"out":' + out + b"}\n")):
+            while rest:  # a raw FileIO may write short; retried, as LedgerFile.append does
+                rest = rest[sys.stdout.buffer.write(rest) :]
         return EXIT_OK
     for e in decode_rows(rows):
         if e.is_deletion:

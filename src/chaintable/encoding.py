@@ -184,14 +184,10 @@ def check_keys(encoded: bytes) -> bytes:
     return encoded
 
 
-def join_rows(rows: Sequence[bytes]) -> bytes:
-    """The JSON array of the record objects of row texts (see row_texts)."""
-    return b'[{"opid":' + _BOUNDARY.join(rows) + b"}]" if rows else b"[]"
-
-
 def decode_rows(rows: Sequence[bytes]) -> tuple[UpdateRecord, ...]:
     """Records of checked row texts (see row_texts), decoded 1000 at a time to bound memory."""
-    chunks = (join_rows(rows[i : i + 1000]).decode() for i in range(0, len(rows), 1000))
+    parts = (_BOUNDARY.join(rows[i : i + 1000]) for i in range(0, len(rows), 1000))
+    chunks = ((b'[{"opid":' + part + b"}]").decode() for part in parts)
     return tuple(record for chunk in chunks for record in _ROWS.decode(chunk))
 
 
@@ -212,11 +208,21 @@ def decode_record(text: str) -> UpdateRecord:
     return _ROWS.decode(text)
 
 
+def _members(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A decoded object, refused if a member name repeats (I-JSON, RFC 7493 section 2.3)."""
+    if len(obj := dict(pairs)) < len(pairs):
+        last = {name: i for i, (name, _) in enumerate(pairs)}
+        name = next(name for i, (name, _) in enumerate(pairs) if last[name] != i)
+        raise MalformedBatchError(f"duplicate member name in update JSON: {name!r}")
+    return obj
+
+
 def _json_value(text: str | bytes) -> Any:
     # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer past
     # the digit limit; RecursionError is nesting deeper than the interpreter allows.
     try:
-        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        text = text.decode("utf-8") if isinstance(text, bytes) else text
+        return json.loads(text, object_pairs_hook=_members)
     except (ValueError, RecursionError) as exc:
         raise MalformedBatchError(f"invalid update JSON: {exc}") from exc
 

@@ -221,8 +221,10 @@ def random_op_sequence(rng: Random, n_batches: int) -> list[UpdateBatch]:
 
 
 def invoke_cli(argv: list, stdin_text: str | None = None) -> tuple[int, str, str]:
-    """Run the CLI in-process; returns (exit code, stdout, stderr)."""
-    stdout, stderr = io.StringIO(), io.StringIO()
+    """Run the CLI in-process; returns (exit code, stdout, stderr). Stdout is a
+    UTF-8 text layer over bytes, so what the CLI writes to sys.stdout.buffer is
+    captured too."""
+    stdout, stderr = io.TextIOWrapper(io.BytesIO(), "utf-8"), io.StringIO()
     old_stdin = sys.stdin
     try:
         sys.stdin = io.TextIOWrapper(io.BytesIO((stdin_text or "").encode("utf-8")), "utf-8")
@@ -230,4 +232,5 @@ def invoke_cli(argv: list, stdin_text: str | None = None) -> tuple[int, str, str
             code = cli_main([str(a) for a in argv])
     finally:
         sys.stdin = old_stdin
-    return code, stdout.getvalue(), stderr.getvalue()
+    stdout.flush()
+    return code, stdout.buffer.getvalue().decode("utf-8"), stderr.getvalue()

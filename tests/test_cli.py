@@ -1,6 +1,8 @@
 """CLI workflows and exit-code contract (0 ok, 1 integrity, 2 usage, 3 I/O)."""
 
+import contextlib
 import errno
+import io
 import json
 import os
 import resource
@@ -33,6 +35,7 @@ from chaintable import (
     verify_against_table,
     verify_chain,
 )
+from chaintable.cli import main as cli_main
 from chaintable.encoding import record_as_dict
 from chaintable.storage import ledger_header_line, render_record
 from chaintable.table import read_table_rows
@@ -121,6 +124,17 @@ def test_append_rejects_bad_json_and_duplicate_key(paths):
     ledger, table = _init_and_fill(paths)
     assert invoke_cli(["append", "--ledger", ledger, "--table", table], "not json")[0] == 2
     assert invoke_cli(["append", "--ledger", ledger, "--table", table], B1)[0] == 2
+
+
+def test_append_refuses_a_member_name_twice_and_writes_nothing(paths):
+    # json.loads alone keeps the last copy, so "b" would be sealed.
+    ledger, table = _init_and_fill(paths)
+    before = ledger.read_bytes(), table.read_bytes()
+    batch = '[{"opid":1,"timestamp":"t","description":"a","description":"b"}]'
+    code, out, err = invoke_cli(["append", "--ledger", ledger, "--table", table], batch)
+    assert (code, out) == (2, "")
+    assert err == "error: duplicate member name in update JSON: 'description'\n"
+    assert (ledger.read_bytes(), table.read_bytes()) == before
 
 
 def _batch_of_100k_rows_whose_last_repeats_a_key():
@@ -472,6 +486,7 @@ def _dumps(value):
 # Texts that a row split, a splice or an escape could get wrong.
 _TRICKY = [
     '},{"opid":', '"', "\\", '\\"', "\\\\", ":null", ',"deleted":true}',
+    ':null,"deleted":false}', ',"deleted":false},{"opid":',
     "\u2028", "\u2029", "\U0001f600", "\u00e9",
 ]
 _timestamps = st.lists(
@@ -494,6 +509,8 @@ _batches = st.lists(
 @given(st.lists(_batches, max_size=6))
 @example([[(7, "a", "first"), (7, "b", "second")]])  # one opid twice in a batch: the last wins
 @example([[(100, "t", None), (9, "t", '},{"opid":1,"x'), (10, "t\u2028", "\x00\x85")]])
+# Tombstones beside a description that holds the text the splice replaces, and last.
+@example([[(1, "t", None), (2, "t", 'x:null,"deleted":false}'), (3, "t", None)]])
 def test_materialize_json_is_byte_identical_to_json_dumps_of_the_replay(batches):
     ledger = Ledger()
     for rows in batches:
@@ -528,6 +545,68 @@ def test_materialize_json_is_byte_identical_to_json_dumps_of_the_replay(batches)
             assert out == stdout
             if "--out" in flags:
                 assert out_path.read_bytes() == (_dumps(entries) + "\n").encode("utf-8")
+
+
+def _store_with_wide_text(paths, tmp_path):
+    """A store whose view holds text no single-byte codec encodes, and a tombstone;
+    returns the ledger, the --out path, and the --json output materialize must write."""
+    ledger, table = _init_and_fill(paths)
+    batch = (
+        '[{"opid":2,"timestamp":"t5","description":"\u03c0 \U0001f600"},'
+        '{"opid":3,"timestamp":"t6","description":null}]'
+    )
+    assert invoke_cli(["append", "--ledger", ledger, "--table", table], batch)[0] == 0
+    out_path = tmp_path / "view.json"
+    assert invoke_cli(["materialize", "--ledger", ledger, "--out", out_path])[0] == 0
+    view = out_path.read_bytes()
+    assert "\u03c0".encode("utf-8") in view and view.endswith(b"\n")
+    expected = b'{"view":' + view[:-1] + b',"out":' + _dumps(str(out_path)).encode("utf-8") + b"}\n"
+    return ledger, out_path, expected
+
+
+def _materialize_into(stdout, ledger, out_path):
+    """Run materialize --json --out in process with stdout as sys.stdout."""
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli_main(["materialize", "--ledger", str(ledger), "--json", "--out", str(out_path)])
+    assert (code, err.getvalue()) == (0, "")
+    stdout.flush()
+
+
+def test_materialize_json_is_the_views_utf8_bytes_whatever_the_stdout_encoding(paths, tmp_path):
+    ledger, out_path, expected = _store_with_wide_text(paths, tmp_path)
+    stdout = io.TextIOWrapper(io.BytesIO(), "ascii")
+    _materialize_into(stdout, ledger, out_path)
+    assert stdout.buffer.getvalue() == expected
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONIOENCODING"] = "latin-1"
+    argv = [sys.executable, "-m", "chaintable", "materialize", "--ledger", ledger, "--json"]
+    result = subprocess.run(argv + ["--out", out_path], env=env, capture_output=True, timeout=60)
+    assert (result.returncode, result.stderr, result.stdout) == (0, b"", expected)
+
+
+class _ShortWrites(io.RawIOBase):
+    """A raw stream that takes at most 7 bytes per write, as a raw FileIO may."""
+
+    def __init__(self):
+        self.received = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        taken = bytes(data[:7])
+        self.received += taken
+        return len(taken)
+
+
+def test_materialize_json_retries_short_writes(paths, tmp_path):
+    ledger, out_path, expected = _store_with_wide_text(paths, tmp_path)
+    raw = _ShortWrites()
+    _materialize_into(io.TextIOWrapper(raw, "utf-8", write_through=True), ledger, out_path)
+    assert bytes(raw.received) == expected
 
 
 def test_separate_mounts_configuration(tmp_path):

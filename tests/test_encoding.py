@@ -183,6 +183,25 @@ def test_parse_batch_input_rejects_non_array():
         parse_batch_input("not json")
 
 
+@pytest.mark.parametrize("decode", [parse_batch_input, decode_update])
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ('[{"opid":1,"timestamp":"t","description":"a","description":"b"}]', "description"),
+        ('[{"opid":1,"timestamp":"t","description":"a","descr\\u0069ption":"b"}]', "description"),
+        # The first name that repeats is named, wherever its second copy is.
+        ('[{"opid":1,"timestamp":"t","description":null,"timestamp":"u","opid":2}]', "opid"),
+        # At any depth: the record is refused as a duplicate, not as a bad field.
+        ('[{"opid":1,"timestamp":"t","description":{"k":1,"k":2}}]', "k"),
+    ],
+)
+def test_a_member_name_twice_is_refused_by_name(decode, text, name):
+    for given_input in (text, text.encode("utf-8")):
+        with pytest.raises(MalformedBatchError) as excinfo:
+            decode(given_input)
+        assert str(excinfo.value) == f"duplicate member name in update JSON: {name!r}"
+
+
 _text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=20
 )
